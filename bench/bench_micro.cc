@@ -71,14 +71,11 @@ void BM_StoreClone(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreClone)->Arg(1000)->Arg(20000);
 
-void RegistryStoreBench(benchmark::State& state, const char* backend,
-                        bool fork) {
-  // Snapshot()/Fork() cost per backend at |state.range(0)| live keys: the
-  // copying backends ("mem", "sorted") pay O(n); the persistent "cow"
-  // tree retains its root in O(1) — the ISSUE-5 acceptance bar is cow
-  // >= 10x cheaper than mem at >= 10k keys.
+void RegistryStoreBench(benchmark::State& state, bool fork) {
+  // Snapshot()/Fork() cost at |state.range(0)| live keys: every built-in
+  // backend copies, so both are O(n).
   std::unique_ptr<storage::KVStore> store =
-      storage::StoreRegistry::Global().Create(backend);
+      storage::StoreRegistry::Global().Create("mem");
   uint64_t n = static_cast<uint64_t>(state.range(0));
   store->Reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -98,24 +95,14 @@ void RegistryStoreBench(benchmark::State& state, const char* backend,
 }
 
 void BM_StoreSnapshot_Mem(benchmark::State& state) {
-  RegistryStoreBench(state, "mem", /*fork=*/false);
+  RegistryStoreBench(state, /*fork=*/false);
 }
 BENCHMARK(BM_StoreSnapshot_Mem)->Arg(10000)->Arg(100000);
 
-void BM_StoreSnapshot_Cow(benchmark::State& state) {
-  RegistryStoreBench(state, "cow", /*fork=*/false);
-}
-BENCHMARK(BM_StoreSnapshot_Cow)->Arg(10000)->Arg(100000);
-
 void BM_StoreFork_Mem(benchmark::State& state) {
-  RegistryStoreBench(state, "mem", /*fork=*/true);
+  RegistryStoreBench(state, /*fork=*/true);
 }
 BENCHMARK(BM_StoreFork_Mem)->Arg(10000)->Arg(100000);
-
-void BM_StoreFork_Cow(benchmark::State& state) {
-  RegistryStoreBench(state, "cow", /*fork=*/true);
-}
-BENCHMARK(BM_StoreFork_Cow)->Arg(10000)->Arg(100000);
 
 void BM_StoreWriteBatch(benchmark::State& state) {
   // Batch apply over a half-fresh/half-live key mix (the post-commit write

@@ -328,17 +328,28 @@ struct StoreSelection {
     config->store = name;
   }
 
-  /// Instantiates the backend from storage::StoreRegistry (never null:
-  /// the name was validated by StoreFromFlags).
+  /// Instantiates the backend from storage::StoreRegistry. StoreFromFlags
+  /// checks only the base name, so a spec whose params the backend rejects
+  /// ("mem:capactiy=16", "wal:inner=nosuch") fails here: exit with code 2
+  /// rather than bench a null store. (The spec is not trial-built up
+  /// front: a "wal:dir=" spec would touch its directory.)
   std::unique_ptr<storage::KVStore> Create() const {
-    return storage::StoreRegistry::Global().Create(name);
+    std::unique_ptr<storage::KVStore> store =
+        storage::StoreRegistry::Global().Create(name);
+    if (store == nullptr) {
+      std::fprintf(stderr, "store spec \"%s\" could not be built\n",
+                   name.c_str());
+      std::exit(2);
+    }
+    return store;
   }
 };
 
-/// Shared `--store <name>` handling for every bench binary: validates the
-/// backend against storage::StoreRegistry::Global() and exits with code 2
-/// on a typo (mirroring --workload/--placement — a typo must not silently
-/// bench the default backend).
+/// Shared `--store <spec>` handling for every bench binary: validates the
+/// backend name against storage::StoreRegistry::Global() and exits with
+/// code 2 on a typo (mirroring --workload/--placement — a typo must not
+/// silently bench the default backend). Params are checked when the store
+/// is built (StoreSelection::Create, or core::Cluster for cluster benches).
 inline StoreSelection StoreFromFlags(int argc, char** argv) {
   StoreSelection selection;
   std::string name = FlagValue(argc, argv, "store");

@@ -58,7 +58,9 @@ Cluster::Cluster(ThunderboltConfig config, const std::string& workload_name,
   shared_->canonical =
       storage::StoreRegistry::Global().Create(config_.store, store_options);
   if (shared_->canonical == nullptr) {
-    std::fprintf(stderr, "Cluster: unknown store backend \"%s\"\n",
+    std::fprintf(stderr,
+                 "Cluster: store spec \"%s\" could not be built (unknown "
+                 "backend or rejected params)\n",
                  config_.store.c_str());
     std::abort();
   }
@@ -220,12 +222,8 @@ ClusterResult Cluster::Run(SimTime duration) {
   sync_counter("store.scans", stats.scans);
   sync_counter("store.snapshots", stats.snapshots);
   sync_counter("store.forks", stats.forks);
-  // Wrapper-backend counters appear only when the layer is in the stack,
-  // so plain-backend metrics snapshots stay byte-identical to before.
-  if (stats.cache_hits + stats.cache_misses > 0) {
-    sync_counter("store.cache_hits", stats.cache_hits);
-    sync_counter("store.cache_misses", stats.cache_misses);
-  }
+  // The wal counters appear only when that layer is in the stack, so
+  // plain-backend metrics snapshots stay byte-identical to before.
   if (stats.wal_appends + stats.wal_checkpoints +
           stats.wal_recovered_records > 0) {
     sync_counter("store.wal_appends", stats.wal_appends);

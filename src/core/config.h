@@ -62,12 +62,11 @@ struct ThunderboltConfig {
 
   // --- Storage ---------------------------------------------------------------
   /// Canonical committed-store backend, as a storage::StoreRegistry spec:
-  /// a plain name ("mem", "sorted", "cow") or a parametrized wrapper spec
-  /// ("cached:capacity=4096,inner=sorted", "wal:group_commit=4,
-  /// inner=sorted"). "mem" is the historical default (hash map,
-  /// byte-identical determinism baselines); "cow" makes snapshot/fork O(1)
-  /// structural sharing; "wal" adds a group-committed durability log with
-  /// crash recovery (see storage/wal_kv_store.h).
+  /// a plain name ("mem", "sorted") or a parametrized wrapper spec
+  /// ("wal:group_commit=4,inner=sorted"). "mem" is the historical default
+  /// (hash map, byte-identical determinism baselines); "sorted" keeps keys
+  /// ordered for real range scans; "wal" adds a group-committed durability
+  /// log with crash recovery (see storage/wal_kv_store.h).
   std::string store = "mem";
 
   // --- Placement -------------------------------------------------------------

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/hash.h"
-#include "storage/cached_kv_store.h"
-#include "storage/cow_kv_store.h"
 #include "storage/sorted_kv_store.h"
 #include "storage/wal_kv_store.h"
 
@@ -126,7 +124,7 @@ std::vector<ScanEntry> MemKVStore::Scan(const Key& begin, const Key& end,
                                         size_t limit) const {
   ++counters_.scans;
   // No native ordering: collect the matching entries, then sort. Backends
-  // with real range scans ("sorted", "cow") avoid the full pass.
+  // with real range scans ("sorted") avoid the full pass.
   std::vector<ScanEntry> out;
   for (const auto& [key, vv] : map_) {
     if (key < begin) continue;
@@ -268,17 +266,15 @@ StoreRegistry& StoreRegistry::Global() {
   // libraries would dead-strip).
   static StoreRegistry* registry = [] {
     auto* r = new StoreRegistry();
-    r->Register("mem", [](const StoreOptions&) {
-      return std::unique_ptr<KVStore>(new MemKVStore());
+    // The plain backends take no params: "mem:capacity=16" is a typo to
+    // reject, not a spec to run as plain "mem".
+    r->Register("mem", [](const StoreOptions& options) {
+      return options.params.empty() ? std::make_unique<MemKVStore>()
+                                    : nullptr;
     });
-    r->Register("sorted", [](const StoreOptions&) {
-      return std::unique_ptr<KVStore>(new SortedKVStore());
-    });
-    r->Register("cow", [](const StoreOptions&) {
-      return std::unique_ptr<KVStore>(new CowKVStore());
-    });
-    r->Register("cached", [](const StoreOptions& options) {
-      return CachedKVStore::FromOptions(options);
+    r->Register("sorted", [](const StoreOptions& options) {
+      return options.params.empty() ? std::make_unique<SortedKVStore>()
+                                    : nullptr;
     });
     r->Register("wal", [](const StoreOptions& options) {
       return WalKVStore::FromOptions(options);

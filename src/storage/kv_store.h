@@ -27,18 +27,12 @@
 //           Snapshot/Fork copy the whole table.
 //   sorted  Ordered map (sorted_kv_store.h): real range scans, O(n)
 //           snapshots.
-//   cow     Persistent copy-on-write treap (cow_kv_store.h): Snapshot()
-//           and Fork() are O(1) structural sharing — the backend for
-//           validation-style workloads that fork state per block.
-//   cached  Bounded LRU row cache layered over another backend
-//           (cached_kv_store.h): point reads hit the cache, writes
-//           invalidate; hit/miss counters in Stats().
 //   wal     Append-only CRC-framed group-committed log + checkpoints over
 //           another backend (wal_kv_store.h): survives kill -9 via replay,
 //           tolerating a torn tail.
 //
 // Backend *specs* extend plain names with parameters:
-// "wal:group_commit=4,inner=cached:capacity=512,inner=sorted" — everything
+// "wal:group_commit=4,inner=sorted" — everything
 // after the first ':' goes to the factory as StoreOptions::params (see
 // ParseStoreParams). The `inner=` key, when present, must come last: its
 // value is itself a full spec, consuming the rest of the string, which is
@@ -153,11 +147,9 @@ struct StoreStats {
   uint64_t snapshots = 0;    // Snapshot() calls.
   uint64_t forks = 0;        // Fork() calls.
 
-  // Wrapper-backend fields: zero unless a "cached" / "wal" layer is in the
-  // stack (wrappers merge these up from their inner store, so the outermost
+  // Wrapper-backend fields: zero unless a "wal" layer is in the stack
+  // (wrappers merge these up from their inner store, so the outermost
   // Stats() sees the whole stack).
-  uint64_t cache_hits = 0;          // cached: point reads served from cache.
-  uint64_t cache_misses = 0;        // cached: point reads forwarded to inner.
   uint64_t wal_appends = 0;         // wal: frames appended to the log.
   uint64_t wal_syncs = 0;           // wal: group-commit flush barriers.
   uint64_t wal_checkpoints = 0;     // wal: checkpoints written.
@@ -173,15 +165,13 @@ struct StoreStats {
 /// Read-side tearing contract: ToStats() loads each atomic independently
 /// with relaxed ordering — it is NOT a consistent cut across counters.
 /// Under concurrent mutation a snapshot can pair a newer value of one
-/// counter with an older value of another (e.g. cache_hits incremented by
-/// an in-flight Get whose `gets` bump the snapshot missed, momentarily
-/// showing hits + misses > gets). What IS guaranteed: each individual
-/// counter is monotone non-decreasing across successive snapshots, no load
-/// ever observes a torn/partial value, and a quiescent store snapshots
-/// exactly. Derived cross-counter identities (hit-rate denominators,
-/// hits + misses == gets) therefore only hold at quiescence — assert them
-/// after joining workers, never mid-run. store_counters_concurrency_test
-/// runs this contract under TSan.
+/// counter with an older value of another. What IS guaranteed: each
+/// individual counter is monotone non-decreasing across successive
+/// snapshots, no load ever observes a torn/partial value, and a quiescent
+/// store snapshots exactly. Exact totals and cross-counter identities
+/// therefore only hold at quiescence — assert them after joining workers,
+/// never mid-run. store_counters_concurrency_test runs this contract under
+/// TSan.
 struct StoreCounters {
   std::atomic<uint64_t> gets{0};
   std::atomic<uint64_t> puts{0};
@@ -190,8 +180,6 @@ struct StoreCounters {
   std::atomic<uint64_t> scans{0};
   std::atomic<uint64_t> snapshots{0};
   std::atomic<uint64_t> forks{0};
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> cache_misses{0};
   std::atomic<uint64_t> wal_appends{0};
   std::atomic<uint64_t> wal_syncs{0};
   std::atomic<uint64_t> wal_checkpoints{0};
@@ -210,8 +198,6 @@ struct StoreCounters {
     scans = other.scans.load(std::memory_order_relaxed);
     snapshots = other.snapshots.load(std::memory_order_relaxed);
     forks = other.forks.load(std::memory_order_relaxed);
-    cache_hits = other.cache_hits.load(std::memory_order_relaxed);
-    cache_misses = other.cache_misses.load(std::memory_order_relaxed);
     wal_appends = other.wal_appends.load(std::memory_order_relaxed);
     wal_syncs = other.wal_syncs.load(std::memory_order_relaxed);
     wal_checkpoints = other.wal_checkpoints.load(std::memory_order_relaxed);
@@ -231,8 +217,6 @@ struct StoreCounters {
     stats.scans = scans.load(std::memory_order_relaxed);
     stats.snapshots = snapshots.load(std::memory_order_relaxed);
     stats.forks = forks.load(std::memory_order_relaxed);
-    stats.cache_hits = cache_hits.load(std::memory_order_relaxed);
-    stats.cache_misses = cache_misses.load(std::memory_order_relaxed);
     stats.wal_appends = wal_appends.load(std::memory_order_relaxed);
     stats.wal_syncs = wal_syncs.load(std::memory_order_relaxed);
     stats.wal_checkpoints = wal_checkpoints.load(std::memory_order_relaxed);
@@ -247,7 +231,7 @@ struct StoreCounters {
 /// before Write() observes none of the batch.
 class KVStore : public ReadView {
  public:
-  /// Registry name ("mem", "sorted", "cow").
+  /// Registry name ("mem", "sorted", "wal").
   virtual std::string name() const = 0;
 
   /// Single-key write; bumps the key's version (fresh keys start at 1).
@@ -282,11 +266,10 @@ class KVStore : public ReadView {
   virtual std::vector<ScanEntry> Scan(const Key& begin, const Key& end,
                                       size_t limit = 0) const = 0;
 
-  /// Immutable point-in-time view. O(1) for "cow", O(n) copy otherwise.
+  /// Immutable point-in-time view (an O(n) copy in every built-in).
   virtual std::shared_ptr<const StoreSnapshot> Snapshot() const = 0;
 
-  /// Independent mutable copy (forks validator state). O(1) structural
-  /// sharing for "cow", deep copy otherwise.
+  /// Independent mutable copy (a deep copy in every built-in).
   virtual std::unique_ptr<KVStore> Fork() const = 0;
 
   /// Capacity hint: pre-sizes internal structures for `expected_keys` live
@@ -307,9 +290,10 @@ class KVStore : public ReadView {
 
 /// In-memory versioned KV store over a hash table — the "mem" backend,
 /// byte-identical in behavior to the historical MemKVStore. Not internally
-/// synchronized: in the discrete-event simulation each replica owns its
-/// store and all access is single-threaded per replica (validation worker
-/// pools copy snapshots).
+/// synchronized for writers: in the discrete-event simulation each replica
+/// owns its store and all access is single-threaded per replica; the
+/// thread executor pool only reads it concurrently, and the read counters
+/// are atomic.
 class MemKVStore final : public KVStore {
  public:
   MemKVStore() = default;
@@ -330,8 +314,8 @@ class MemKVStore final : public KVStore {
   uint64_t ContentFingerprint() const override;
   StoreStats Stats() const override;
 
-  /// Deep copy used to fork validator state (value-semantics twin of
-  /// Fork(), kept for call sites that hold a concrete MemKVStore).
+  /// Deep copy by value: the value-semantics twin of Fork() for callers
+  /// (tests) that hold a concrete MemKVStore.
   MemKVStore Clone() const;
 
  private:
@@ -373,8 +357,8 @@ struct StoreOptions {
   size_t expected_keys = 0;
 
   /// Backend-specific parameters, the part of a spec after the first ':'
-  /// ("group_commit=4,inner=sorted"). Plain backends ignore it; wrappers
-  /// parse it with ParseStoreParams.
+  /// ("group_commit=4,inner=sorted"). Plain backends reject a non-empty
+  /// one; wrappers parse it with ParseStoreParams.
   std::string params;
 
   /// Trace sink for wal.append / wal.checkpoint / wal.recover spans.
@@ -396,7 +380,7 @@ std::vector<std::pair<std::string, std::string>> ParseStoreParams(
 
 /// Name -> factory registry, mirroring workload::WorkloadRegistry and
 /// placement::PlacementRegistry. `Global()` is preloaded with the built-in
-/// backends ("mem", "sorted", "cow", "cached", "wal").
+/// backends ("mem", "sorted", "wal").
 ///
 /// Create/Contains accept full *specs*: "wal:inner=sorted" resolves the
 /// factory registered as "wal" and passes "inner=sorted" through
@@ -412,7 +396,8 @@ class StoreRegistry {
   void Register(std::string name, Factory factory);
 
   /// Instantiates the backend named by `spec` (plain name or
-  /// "name:params"), or nullptr for unknown names.
+  /// "name:params"), or nullptr for unknown names and for params the
+  /// backend rejects.
   std::unique_ptr<KVStore> Create(const std::string& spec,
                                   const StoreOptions& options = {}) const;
 

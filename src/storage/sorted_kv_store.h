@@ -4,7 +4,7 @@
 // (lower_bound + iterate) instead of the collect-and-sort pass the hash
 // backend pays. Point operations are O(log n); Snapshot()/Fork() are O(n)
 // copies like "mem". Pick it when range-placement audits or future TPC-C
-// table scans dominate; pick "cow" when snapshot/fork frequency dominates.
+// table scans dominate; "mem" is faster on point reads and writes.
 #ifndef THUNDERBOLT_STORAGE_SORTED_KV_STORE_H_
 #define THUNDERBOLT_STORAGE_SORTED_KV_STORE_H_
 

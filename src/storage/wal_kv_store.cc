@@ -582,8 +582,6 @@ StoreStats WalKVStore::Stats() const {
   stats.backend = name();
   const StoreStats inner = inner_->Stats();
   stats.live_keys = inner.live_keys;
-  stats.cache_hits += inner.cache_hits;
-  stats.cache_misses += inner.cache_misses;
   stats.wal_appends += inner.wal_appends;
   stats.wal_syncs += inner.wal_syncs;
   stats.wal_checkpoints += inner.wal_checkpoints;

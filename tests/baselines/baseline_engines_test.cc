@@ -132,12 +132,17 @@ TEST_F(TplEngineTest, AbortReleasesLocks) {
 
 // --- Cross-engine serializability property --------------------------------
 
+// GoogleTest names each case by dumping the parameter's raw bytes, so the
+// struct must have no padding: a 64-bit `kind` keeps every byte defined
+// and the test names stable from one discovery run to the next.
 struct EngineParam {
-  enum Kind { kCc, kOcc, kTpl } kind;
+  enum Kind : uint64_t { kCc, kOcc, kTpl } kind;
   uint64_t seed;
   double theta;
   double read_ratio;
 };
+static_assert(sizeof(EngineParam) == 4 * sizeof(uint64_t),
+              "EngineParam must have no padding bytes");
 
 class EngineEquivalenceTest : public ::testing::TestWithParam<EngineParam> {};
 

@@ -10,9 +10,10 @@
 // under periodic reconfiguration, where hot-key migration mutates the
 // account mapping mid-run and must do so identically in every replay.
 // The matrix additionally spans storage backends: the default "mem" runs
-// carry the historical byte-identical baselines forward, and "cow"/
-// "sorted" runs pin the new backends to the same bar — plus a cross-
-// backend leg asserting mem and cow converge to the same committed state.
+// carry the historical byte-identical baselines forward, and "sorted" and
+// "wal" runs pin the other backends to the same bar — plus cross-backend
+// legs asserting mem, sorted and the wal stack converge to the same
+// committed state.
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
@@ -151,23 +152,21 @@ INSTANTIATE_TEST_SUITE_P(
                       DeterminismParam{"smallbank", "directory", "mem"},
                       DeterminismParam{"ycsb", "directory", "mem"},
                       DeterminismParam{"tpcc_lite", "directory", "mem"},
-                      DeterminismParam{"smallbank", "hash", "cow"},
+                      DeterminismParam{"smallbank", "hash", "sorted"},
                       DeterminismParam{"ycsb", "hash", "sorted"},
-                      DeterminismParam{"tpcc_lite", "directory", "cow"},
-                      // Wrapper backends sit below the determinism line
-                      // too: WAL barriers/checkpoints and cache evictions
-                      // are pure functions of the committed op sequence,
-                      // so even their counters and spans must replay
-                      // byte-identically (ephemeral WAL dir names must
-                      // never leak into any export).
+                      DeterminismParam{"tpcc_lite", "directory", "sorted"},
+                      // The wal wrapper sits below the determinism line
+                      // too: its barriers and checkpoints are pure
+                      // functions of the committed op sequence, so even
+                      // its counters and spans must replay byte-
+                      // identically (ephemeral WAL dir names must never
+                      // leak into any export).
                       DeterminismParam{"smallbank", "hash",
                                        "wal:group_commit=4,inner=sorted"},
-                      DeterminismParam{"ycsb", "hash",
-                                       "cached:capacity=64,inner=sorted"},
                       DeterminismParam{
                           "tpcc_lite", "directory",
                           "wal:group_commit=2,checkpoint_every=64,"
-                          "inner=cached:capacity=128,inner=mem"},
+                          "inner=mem"},
                       // Open-loop entries: the service front end's arrival
                       // schedule, admission decisions, queue-depth gauges
                       // and end-to-end latency samples must all replay
@@ -192,32 +191,31 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Swapping the storage backend must not move the committed state: a mem
-// cluster and a cow cluster driven from the same seed land on identical
+// cluster and a sorted cluster driven from the same seed land on identical
 // commit orders, metrics and content fingerprints (the store is below the
-// determinism line — only its snapshot/fork cost profile differs).
-TEST(StoreBackendClusterAgreement, MemAndCowConverge) {
+// determinism line — only its point-op cost differs).
+TEST(StoreBackendClusterAgreement, MemAndSortedConverge) {
   for (const char* workload : {"smallbank", "tpcc_lite"}) {
     RunOutput mem =
         RunClusterOnce(DeterminismParam{workload, "hash", "mem"}, 1234);
-    RunOutput cow =
-        RunClusterOnce(DeterminismParam{workload, "hash", "cow"}, 1234);
+    RunOutput sorted =
+        RunClusterOnce(DeterminismParam{workload, "hash", "sorted"}, 1234);
     EXPECT_FALSE(mem.commit_order.empty());
-    EXPECT_EQ(mem.commit_order, cow.commit_order) << workload;
-    EXPECT_EQ(mem.histogram, cow.histogram) << workload;
-    EXPECT_EQ(mem.state_fingerprint, cow.state_fingerprint) << workload;
+    EXPECT_EQ(mem.commit_order, sorted.commit_order) << workload;
+    EXPECT_EQ(mem.histogram, sorted.histogram) << workload;
+    EXPECT_EQ(mem.state_fingerprint, sorted.state_fingerprint) << workload;
   }
 }
 
 // The durable stack is invisible to the protocol: running the whole
-// cluster through WAL + block cache changes nothing above the storage
-// line — same commits, same latencies, same final state as bare mem.
+// cluster through the WAL changes nothing above the storage line — same
+// commits, same latencies, same final state as bare mem.
 TEST(StoreBackendClusterAgreement, MemAndWalStackConverge) {
   RunOutput mem =
       RunClusterOnce(DeterminismParam{"smallbank", "hash", "mem"}, 1234);
   RunOutput wal = RunClusterOnce(
       DeterminismParam{"smallbank", "hash",
-                       "wal:group_commit=4,inner=cached:capacity=256,"
-                       "inner=sorted"},
+                       "wal:group_commit=4,inner=sorted"},
       1234);
   EXPECT_FALSE(mem.commit_order.empty());
   EXPECT_EQ(mem.commit_order, wal.commit_order);

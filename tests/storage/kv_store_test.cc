@@ -194,7 +194,7 @@ TEST(MemKVStoreTest, ForkMatchesCloneSemantics) {
 TEST(StoreRegistryTest, GlobalKnowsAllBuiltins) {
   StoreRegistry& registry = StoreRegistry::Global();
   EXPECT_EQ(registry.Names(), (std::vector<std::string>{
-                                  "cached", "cow", "mem", "sorted", "wal"}));
+                                  "mem", "sorted", "wal"}));
   for (const std::string& name : registry.Names()) {
     std::unique_ptr<KVStore> store = registry.Create(name);
     ASSERT_NE(store, nullptr);
@@ -208,18 +208,22 @@ TEST(StoreRegistryTest, GlobalKnowsAllBuiltins) {
 TEST(StoreRegistryTest, SpecSyntaxResolvesBaseNameAndParams) {
   StoreRegistry& registry = StoreRegistry::Global();
   // Contains validates the base name only; params are the factory's job.
-  EXPECT_TRUE(registry.Contains("cached:capacity=16,inner=sorted"));
-  EXPECT_TRUE(registry.Contains("wal:group_commit=4,inner=mem"));
+  EXPECT_TRUE(registry.Contains("wal:group_commit=4,inner=sorted"));
+  EXPECT_TRUE(registry.Contains("mem:capactiy=16"));
   EXPECT_FALSE(registry.Contains("rocksdb:path=/tmp/x"));
 
   std::unique_ptr<KVStore> store =
-      registry.Create("cached:capacity=16,inner=sorted");
+      registry.Create("wal:group_commit=4,inner=sorted");
   ASSERT_NE(store, nullptr);
-  EXPECT_EQ(store->name(), "cached");
+  EXPECT_EQ(store->name(), "wal");
 
-  // Unknown params are a configuration error, not silently ignored.
-  EXPECT_EQ(registry.Create("cached:capactiy=16"), nullptr);
+  // Unknown params are a configuration error, not silently ignored: the
+  // plain backends take none, and a wrapper's inner spec is checked too.
+  EXPECT_EQ(registry.Create("mem:capactiy=16"), nullptr);
+  EXPECT_EQ(registry.Create("sorted:x=1"), nullptr);
   EXPECT_EQ(registry.Create("wal:fsycn=1"), nullptr);
+  EXPECT_EQ(registry.Create("wal:inner=nosuch"), nullptr);
+  EXPECT_EQ(registry.Create("wal:inner=mem:capactiy=16"), nullptr);
 }
 
 TEST(StoreRegistryTest, ParseStoreParamsSplitsPairsAndNestsInner) {
@@ -241,64 +245,16 @@ TEST(StoreRegistryTest, ParseStoreParamsSplitsPairsAndNestsInner) {
   EXPECT_EQ(bare[0].second, "");
 }
 
-TEST(CachedKVStoreTest, CountsHitsAndMissesAndEvicts) {
-  std::unique_ptr<KVStore> store =
-      StoreRegistry::Global().Create("cached:capacity=2,inner=mem");
-  ASSERT_NE(store, nullptr);
-  ASSERT_TRUE(store->Put("a", 1).ok());
-  ASSERT_TRUE(store->Put("b", 2).ok());
-  ASSERT_TRUE(store->Put("c", 3).ok());
-
-  // Cold cache: first reads miss, repeats hit.
-  EXPECT_EQ(store->GetOrDefault("a", 0), 1);
-  EXPECT_EQ(store->GetOrDefault("a", 0), 1);
-  EXPECT_EQ(store->GetOrDefault("b", 0), 2);
-  StoreStats stats = store->Stats();
-  EXPECT_EQ(stats.backend, "cached");
-  EXPECT_EQ(stats.gets, 3u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 2u);
-
-  // Capacity 2: touching "c" evicts the least-recently-used "a".
-  EXPECT_EQ(store->GetOrDefault("c", 0), 3);
-  EXPECT_EQ(store->GetOrDefault("a", 0), 1);  // Miss again: was evicted.
-  stats = store->Stats();
-  EXPECT_EQ(stats.cache_misses, 4u);
-
-  // Writes invalidate: the next read refetches from the inner store.
-  ASSERT_TRUE(store->Put("a", 10).ok());
-  EXPECT_EQ(store->GetOrDefault("a", 0), 10);
-  stats = store->Stats();
-  EXPECT_EQ(stats.cache_misses, 5u);
-  EXPECT_EQ(stats.live_keys, 3u);
-}
-
-TEST(CachedKVStoreTest, NegativeLookupsAreNotCached) {
-  std::unique_ptr<KVStore> store =
-      StoreRegistry::Global().Create("cached:capacity=4,inner=sorted");
-  ASSERT_NE(store, nullptr);
-  EXPECT_TRUE(store->Get("ghost").status().IsNotFound());
-  EXPECT_TRUE(store->Get("ghost").status().IsNotFound());
-  const StoreStats stats = store->Stats();
-  // Both lookups miss: absence is never cached, so a later Put is visible
-  // immediately without an invalidation path for phantom keys.
-  EXPECT_EQ(stats.cache_misses, 2u);
-  EXPECT_EQ(stats.cache_hits, 0u);
-  ASSERT_TRUE(store->Put("ghost", 1).ok());
-  EXPECT_EQ(store->GetOrDefault("ghost", 0), 1);
-}
-
 TEST(KVStoreTest, FlushIsANoopByDefault) {
   MemKVStore store;
   EXPECT_TRUE(store.Flush().ok());
-  std::unique_ptr<KVStore> cached =
-      StoreRegistry::Global().Create("cached:capacity=4,inner=cow");
-  ASSERT_NE(cached, nullptr);
-  EXPECT_TRUE(cached->Flush().ok());
+  std::unique_ptr<KVStore> sorted = StoreRegistry::Global().Create("sorted");
+  ASSERT_NE(sorted, nullptr);
+  EXPECT_TRUE(sorted->Flush().ok());
 }
 
 TEST(KVStoreTest, RestoreEntryInstallsExactVersionOnEveryBuiltin) {
-  for (const char* name : {"mem", "sorted", "cow", "cached:capacity=4"}) {
+  for (const char* name : {"mem", "sorted", "wal:inner=sorted"}) {
     std::unique_ptr<KVStore> store = StoreRegistry::Global().Create(name);
     ASSERT_NE(store, nullptr) << name;
     ASSERT_TRUE(store->RestoreEntry("k", VersionedValue{42, 17}).ok()) << name;

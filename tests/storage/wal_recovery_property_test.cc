@@ -90,7 +90,7 @@ void TruncateFile(const std::string& path, size_t size) {
 
 /// Creates a wal store over `dir` with a seed-randomized configuration.
 std::unique_ptr<KVStore> OpenWal(const std::string& dir, Rng* rng) {
-  static const char* kInners[] = {"mem", "sorted", "cow"};
+  static const char* kInners[] = {"mem", "sorted"};
   const size_t group_commit = 1 + rng->NextBounded(8);
   // checkpoint_every=0 disables checkpoints in a third of the runs so the
   // pure log-replay path stays covered.
@@ -99,7 +99,7 @@ std::unique_ptr<KVStore> OpenWal(const std::string& dir, Rng* rng) {
   const std::string spec =
       "wal:dir=" + dir + ",group_commit=" + std::to_string(group_commit) +
       ",checkpoint_every=" + std::to_string(checkpoint_every) +
-      ",inner=" + kInners[rng->NextBounded(3)];
+      ",inner=" + kInners[rng->NextBounded(2)];
   std::unique_ptr<KVStore> store = StoreRegistry::Global().Create(spec);
   EXPECT_NE(store, nullptr) << spec;
   return store;

@@ -124,22 +124,22 @@ TEST_P(CrossEngineAgreementTest, FixedSeedReproducesExactly) {
   }
 }
 
-// The store backend sits below serializability: mem and cow runs of the
-// same (workload, engine, seed) must agree on the final fingerprint.
+// The store backend sits below serializability: mem and sorted runs of
+// the same (workload, engine, seed) must agree on the final fingerprint.
 TEST_P(CrossEngineAgreementTest, StoreBackendsAgree) {
   const auto& [workload_name, store_name] = GetParam();
   if (store_name != "mem") GTEST_SKIP() << "mem leg covers the pairing";
   for (const char* engine_name : {"serial", "ce"}) {
     uint64_t mem_fp = RunEngine(workload_name, engine_name, "mem", 94);
-    uint64_t cow_fp = RunEngine(workload_name, engine_name, "cow", 94);
-    EXPECT_EQ(mem_fp, cow_fp)
+    uint64_t sorted_fp = RunEngine(workload_name, engine_name, "sorted", 94);
+    EXPECT_EQ(mem_fp, sorted_fp)
         << workload_name << " under " << engine_name;
   }
 }
 
 /// Every *registered* workload is covered automatically on the historical
-/// "mem" backend, the persistent "cow" backend, and the durable "wal"
-/// stack (group-committed log over a block-cached sorted inner): a new
+/// "mem" backend, the ordered "sorted" backend, and the durable "wal"
+/// stack (group-committed log over a sorted inner): a new
 /// workload registration must ship an AgreementOptions config with
 /// commutative committed effects (or extend it) to keep this suite
 /// meaningful.
@@ -147,9 +147,8 @@ std::vector<AgreementParam> AgreementMatrix() {
   std::vector<AgreementParam> params;
   for (const std::string& workload : WorkloadRegistry::Global().Names()) {
     params.emplace_back(workload, "mem");
-    params.emplace_back(workload, "cow");
-    params.emplace_back(
-        workload, "wal:group_commit=4,inner=cached:capacity=128,inner=sorted");
+    params.emplace_back(workload, "sorted");
+    params.emplace_back(workload, "wal:group_commit=4,inner=sorted");
   }
   return params;
 }
