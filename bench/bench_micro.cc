@@ -14,6 +14,7 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "workload/smallbank_workload.h"
+#include "workload/tpcc_workload.h"
 
 namespace thunderbolt {
 namespace {
@@ -315,6 +316,32 @@ void BM_CcBatch(benchmark::State& state) {
                           batch_size);
 }
 BENCHMARK(BM_CcBatch)->Arg(100)->Arg(500);
+
+void BM_CcBatchTpcc(benchmark::State& state) {
+  // TPC-C-lite with 2 warehouses: every Payment (half the mix) writes its
+  // warehouse's YTD, so long runs of co-writers of two hot keys commit one
+  // after another. The final writes are applied each iteration so later
+  // batches read an evolving store, as in a cluster run.
+  uint32_t batch_size = static_cast<uint32_t>(state.range(0));
+  workload::WorkloadOptions options;
+  options.num_warehouses = 2;
+  options.seed = 6;
+  workload::TpccLiteWorkload w(options);
+  storage::MemKVStore store;
+  w.InitStore(&store);
+  auto registry = contract::Registry::CreateDefault();
+  ce::SimExecutorPool pool(16, ce::ExecutionCostModel{});
+  for (auto _ : state) {
+    auto batch = w.MakeBatch(batch_size);
+    ce::ConcurrencyController cc(&store, batch_size);
+    auto r = pool.Run(cc, *registry, batch);
+    benchmark::DoNotOptimize(r.ok());
+    benchmark::DoNotOptimize(store.Write(cc.FinalWrites()).ok());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          batch_size);
+}
+BENCHMARK(BM_CcBatchTpcc)->Arg(200);
 
 void BM_SerialBatch(benchmark::State& state) {
   uint32_t batch_size = static_cast<uint32_t>(state.range(0));

@@ -28,7 +28,13 @@ Value ConcurrencyController::RootValue(const Key& key) const {
 
 bool ConcurrencyController::HasPath(TxnSlot from, TxnSlot to) const {
   if (from == to) return true;
-  // Iterative DFS; batches are small (<= a few hundred nodes).
+  // Every ancestor of a committed node is committed, so a live node never
+  // reaches one.
+  if (nodes_[to].state == SlotState::kCommitted &&
+      nodes_[from].state != SlotState::kCommitted) {
+    return false;
+  }
+  // Iterative DFS over the live part of the graph.
   std::vector<bool> visited(batch_size_, false);
   std::vector<TxnSlot> stack{from};
   visited[from] = true;
@@ -48,6 +54,8 @@ bool ConcurrencyController::HasPath(TxnSlot from, TxnSlot to) const {
 
 void ConcurrencyController::AddEdge(TxnSlot from, TxnSlot to) {
   assert(from != to);
+  // No edge ever enters a committed node (see the class comment).
+  assert(nodes_[to].state != SlotState::kCommitted);
   nodes_[from].out.insert(to);
   nodes_[to].in.insert(from);
 }
@@ -419,21 +427,6 @@ void ConcurrencyController::TryCommit(TxnSlot slot) {
       }
     }
     if (!deps_committed) continue;
-
-    // Fix residual write-write order against already-committed writers
-    // (section 7.1: "a dependency is established based on the commit times
-    // of these transactions").
-    for (const auto& [key, rec] : node.records) {
-      if (!rec.has_write) continue;
-      auto it = key_index_.find(key);
-      if (it == key_index_.end()) continue;
-      for (TxnSlot other : it->second.writers) {
-        if (other == cur) continue;
-        if (nodes_[other].state != SlotState::kCommitted) continue;
-        if (HasPath(other, cur) || HasPath(cur, other)) continue;
-        AddEdge(other, cur);
-      }
-    }
 
     node.state = SlotState::kCommitted;
     node.order = static_cast<int>(order_.size());

@@ -29,6 +29,16 @@
 //    (Write-Complete, section 10); the final serialization order is a
 //    topological order of G in which every transaction re-reads the same
 //    values (Read-Complete).
+//
+// Invariant: no edge ever enters a node after it commits, so every
+// ancestor of a committed node is committed. A transaction commits only
+// once all its in-neighbours have; ordering a live transaction against a
+// committed one never adds an edge (the committed one simply comes first);
+// and a new writer skips committed readers. Hence a live node never
+// reaches a committed one, and committed co-writers of a key are ordered
+// by their commit index (Node::order), not by an edge (section 7.1: "a
+// dependency is established based on the commit times of these
+// transactions"). AddEdge asserts the invariant.
 #ifndef THUNDERBOLT_CE_CONCURRENCY_CONTROLLER_H_
 #define THUNDERBOLT_CE_CONCURRENCY_CONTROLLER_H_
 
@@ -149,7 +159,7 @@ class ConcurrencyController final : public BatchEngine {
     std::set<TxnSlot> in;
     std::vector<Value> emitted;
     uint32_t re_executions = 0;
-    int order = -1;
+    int order = -1;  // Commit index; -1 until committed.
   };
 
   struct KeyIndex {

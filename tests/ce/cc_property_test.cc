@@ -1,16 +1,15 @@
 // Property tests for the CC's serializability theorem (paper section 10):
 // for randomized high-contention SmallBank batches executed through the
 // simulated executor pool, re-executing the batch *serially* in the CC's
-// scheduled order must reproduce (a) every transaction's emitted results
-// (Read-Complete) and (b) the exact final state (Write-Complete).
+// scheduled order must reproduce every transaction's emitted results and
+// first reads (Read-Complete) and the exact final state (Write-Complete),
+// as checked by testutil::CheckSerialHistory. This sweep varies the
+// executor count and batch size on SmallBank; ce_oracle_test covers the
+// other workloads.
 #include <gtest/gtest.h>
 
-#include "baselines/serial_executor.h"
-#include "ce/concurrency_controller.h"
-#include "ce/sim_executor_pool.h"
-#include "contract/contract.h"
+#include "testutil/history_checker.h"
 #include "testutil/testutil.h"
-#include "workload/smallbank_workload.h"
 
 namespace thunderbolt::ce {
 namespace {
@@ -29,50 +28,16 @@ class CcSerializabilityTest : public ::testing::TestWithParam<PropertyParam> {
 
 TEST_P(CcSerializabilityTest, ScheduledOrderIsSerialOrder) {
   const PropertyParam p = GetParam();
-  workload::SmallBankConfig wc =
-      testutil::SmallBankTestConfig(p.accounts, p.seed, p.read_ratio, p.theta);
-  workload::SmallBankWorkload workload(wc);
-
-  storage::MemKVStore store;
-  workload.InitStore(&store);
-  storage::MemKVStore serial_store = store.Clone();
-
-  std::vector<txn::Transaction> batch = workload.MakeBatch(p.batch);
-  auto registry = contract::Registry::CreateDefault();
-
-  ConcurrencyController cc(&store, static_cast<uint32_t>(batch.size()));
-  SimExecutorPool pool(p.executors, ExecutionCostModel{});
-  auto result = pool.Run(cc, *registry, batch);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  // The dependency graph must be acyclic after full commit.
-  EXPECT_TRUE(cc.GraphIsAcyclic());
-
-  // Apply the CC's final writes.
-  ASSERT_TRUE(store.Write(result->final_writes).ok());
-
-  // Serial re-execution in the scheduled order.
-  std::vector<txn::Transaction> serial_batch;
-  serial_batch.reserve(batch.size());
-  for (TxnSlot slot : result->order) serial_batch.push_back(batch[slot]);
-  baselines::SerialExecutionResult serial = baselines::ExecuteSerial(
-      *registry, serial_batch, &serial_store, Micros(1));
-
-  // (a) Read-Complete: every transaction emits identical results.
-  for (size_t i = 0; i < result->order.size(); ++i) {
-    TxnSlot slot = result->order[i];
-    EXPECT_EQ(result->records[slot].emitted, serial.records[i].emitted)
-        << "txn " << batch[slot].id << " (" << batch[slot].contract
-        << ") diverged at order position " << i;
-  }
-
-  // (b) Write-Complete: the final states are identical.
-  EXPECT_EQ(store.ContentFingerprint(), serial_store.ContentFingerprint());
-
-  // SmallBank invariant: SendPayment conserves total balance.
-  EXPECT_EQ(workload.TotalBalance(store),
-            static_cast<storage::Value>(
-                p.accounts * (wc.initial_checking + wc.initial_savings)));
+  testutil::CeOracleCell cell;
+  cell.workload = "smallbank";
+  cell.options =
+      testutil::WorkloadTestOptions(p.accounts, p.seed, p.read_ratio, p.theta);
+  cell.pool = "sim";
+  cell.executors = p.executors;
+  cell.batch_size = p.batch;
+  cell.batches = 1;
+  // Also checks an acyclic graph and SmallBank's balance conservation.
+  testutil::RunCeOracle(cell);
 }
 
 INSTANTIATE_TEST_SUITE_P(

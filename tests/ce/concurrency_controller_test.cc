@@ -191,6 +191,55 @@ TEST_F(CcTest, WriteWriteOrderFixedByCommit) {
   EXPECT_EQ(batch.entries()[0].value, 1);
 }
 
+TEST_F(CcTest, CommittedCoWritersAreOrderedByCommitIndexNotEdges) {
+  // No edge ever enters a committed node, so co-writers that commit one
+  // after another stay unlinked: their commit index alone orders them.
+  ConcurrencyController cc(&store_, 3);
+  uint32_t inc[3];
+  for (TxnSlot s = 0; s < 3; ++s) {
+    inc[s] = cc.Begin(s);
+    ASSERT_TRUE(cc.Write(s, inc[s], "A", 10 * (s + 1)).ok());
+  }
+  for (TxnSlot s : {2u, 0u, 1u}) ASSERT_TRUE(cc.Finish(s, inc[s]).ok());
+  EXPECT_TRUE(cc.AllCommitted());
+  EXPECT_EQ(cc.SerializationOrder(), (std::vector<TxnSlot>{2, 0, 1}));
+  for (TxnSlot from = 0; from < 3; ++from) {
+    for (TxnSlot to = 0; to < 3; ++to) {
+      EXPECT_FALSE(cc.HasEdge(from, to)) << from << " -> " << to;
+    }
+  }
+  EXPECT_TRUE(cc.GraphIsAcyclic());
+  // Slot 1 committed last, so its value is final.
+  storage::WriteBatch batch = cc.FinalWrites();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.entries()[0].value, 20);
+}
+
+TEST_F(CcTest, ReaderOfCommittedCoWritersSeesLastCommit) {
+  // T1 writes A after T0 (so it is the most recent writer), but T0 commits
+  // after T1: a later reader must observe T0's value, neither T1's nor the
+  // root's.
+  ConcurrencyController cc(&store_, 3);
+  uint32_t i0 = cc.Begin(0);
+  uint32_t i1 = cc.Begin(1);
+  ASSERT_TRUE(cc.Write(0, i0, "A", 10).ok());
+  ASSERT_TRUE(cc.Write(1, i1, "A", 20).ok());
+  ASSERT_TRUE(cc.Finish(1, i1).ok());
+  ASSERT_TRUE(cc.Finish(0, i0).ok());
+  ASSERT_EQ(cc.committed_count(), 2u);
+
+  uint32_t i2 = cc.Begin(2);
+  auto v = cc.Read(2, i2, "A");
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, 10);
+  EXPECT_FALSE(cc.HasEdge(0, 2));  // Commits precede live txns edge-free.
+  ASSERT_TRUE(cc.Finish(2, i2).ok());
+  EXPECT_EQ(cc.SerializationOrder(), (std::vector<TxnSlot>{1, 0, 2}));
+  TxnRecord rec = cc.ExtractRecord(2);
+  ASSERT_EQ(rec.rw_set.reads.size(), 1u);
+  EXPECT_EQ(rec.rw_set.reads[0].value, 10);
+}
+
 TEST_F(CcTest, ExtractRecordHoldsFirstReadLastWrite) {
   ConcurrencyController cc(&store_, 1);
   uint32_t inc = cc.Begin(0);
