@@ -49,6 +49,13 @@ const ThunderboltPayload* PayloadOf(const dag::BlockPtr& block) {
   return dynamic_cast<const ThunderboltPayload*>(block->content.get());
 }
 
+/// Debug invariant of the P4 index: with no pending cross-shard
+/// transaction, no account may still be counted.
+[[maybe_unused]] bool AllZero(const std::vector<uint32_t>& counts) {
+  return std::all_of(counts.begin(), counts.end(),
+                     [](uint32_t count) { return count == 0; });
+}
+
 }  // namespace
 
 ThunderboltNode::ThunderboltNode(
@@ -142,7 +149,12 @@ bool ThunderboltNode::ShouldShift(Round round) const {
 bool ThunderboltNode::ConflictsWithPendingCross(
     const txn::Transaction& tx) const {
   for (const std::string& account : tx.accounts) {
-    if (pending_cross_accounts_.count(account)) return true;
+    // An account never interned (kUnknown) is past the end: no conflict.
+    const uint32_t id = shared_->accounts.Find(account);
+    if (id < pending_cross_accounts_.size() &&
+        pending_cross_accounts_[id] > 0) {
+      return true;
+    }
   }
   return false;
 }
@@ -390,11 +402,19 @@ void ThunderboltNode::OnBlockReceived(const dag::BlockPtr& block) {
     shift_seen_.insert(block->proposer);
   }
   // Track uncommitted cross-shard transactions for the P4 conflict check.
-  for (const txn::Transaction& tx : payload->cross_shard) {
-    if (pending_cross_.emplace(tx.id, tx.accounts).second) {
-      for (const std::string& account : tx.accounts) {
-        ++pending_cross_accounts_[account];
+  if (!payload->cross_shard.empty()) {
+    const std::vector<uint32_t>& ids =
+        payload->CrossAccountIds(&shared_->accounts);
+    if (pending_cross_accounts_.size() < shared_->accounts.size()) {
+      pending_cross_accounts_.resize(shared_->accounts.size());
+    }
+    const uint32_t* next = ids.data();
+    for (const txn::Transaction& tx : payload->cross_shard) {
+      const uint32_t* end = next + tx.accounts.size();
+      if (pending_cross_.insert(tx.id).second) {
+        for (; next != end; ++next) ++pending_cross_accounts_[*next];
       }
+      next = end;
     }
   }
   // Rule P3 continuation: a waiting proposer re-checks once the leader's
@@ -529,20 +549,25 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
   // sub-DAG order, after all single-shard sections (rule P2).
   for (auto& [payload, block_ptr] : ordered) {
     (void)block_ptr;
+    if (payload->cross_shard.empty()) continue;
+    const std::vector<uint32_t>& ids =
+        payload->CrossAccountIds(&shared_->accounts);
+    const uint32_t* next = ids.data();
     for (const txn::Transaction& tx : payload->cross_shard) {
       crosses.push_back(&tx);
-      auto it = pending_cross_.find(tx.id);
-      if (it != pending_cross_.end()) {
-        for (const std::string& account : it->second) {
-          auto ait = pending_cross_accounts_.find(account);
-          if (ait != pending_cross_accounts_.end() && --ait->second == 0) {
-            pending_cross_accounts_.erase(ait);
-          }
+      const uint32_t* end = next + tx.accounts.size();
+      // Pending means this replica counted the same accounts on receipt,
+      // so every id here is within pending_cross_accounts_.
+      if (pending_cross_.erase(tx.id) != 0) {
+        for (; next != end; ++next) {
+          assert(pending_cross_accounts_[*next] > 0);
+          --pending_cross_accounts_[*next];
         }
-        pending_cross_.erase(it);
       }
+      next = end;
     }
   }
+  assert(!pending_cross_.empty() || AllZero(pending_cross_accounts_));
 
   if (!crosses.empty()) {
     SharedClusterState::CrossOutcome cross_outcome;
@@ -777,6 +802,7 @@ void ThunderboltNode::Reconfigure(Round ending_round) {
 
   // Uncommitted state of the old DAG is discarded; clients retransmit the
   // affected transactions (open-loop workload keeps generating).
+  assert(!pending_cross_.empty() || AllZero(pending_cross_accounts_));
   pending_cross_.clear();
   pending_cross_accounts_.clear();
   deferred_singles_.clear();

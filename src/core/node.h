@@ -33,6 +33,9 @@
 // and memoizes per-commit outcomes; the first replica to process a commit
 // computes validation/execution for real and the rest reuse the verdict
 // while still being charged the virtual-time cost (see DESIGN.md 2.1).
+// Likewise the cluster interns each account string once, and a payload
+// memoizes its cross-shard accounts' ids, so every replica's P4 index is a
+// count vector indexed by id rather than a string-keyed map.
 #ifndef THUNDERBOLT_CORE_NODE_H_
 #define THUNDERBOLT_CORE_NODE_H_
 
@@ -126,6 +129,9 @@ struct SharedClusterState {
   /// enter an epoch performs the deterministic migration; peers share the
   /// policy object in this simulation).
   std::unordered_set<EpochId> rebalanced_epochs;
+  /// Dense account ids shared by every replica's P4 pending-cross index
+  /// (ThunderboltPayload::CrossAccountIds interns into it).
+  AccountInterner accounts;
   /// Open-loop service front end, owned by the Cluster; null in closed
   /// loop. When set, PullBatch dequeues admitted transactions (arrival-
   /// stamped submit_time) instead of generating fresh ones.
@@ -232,10 +238,13 @@ class ThunderboltNode {
   // with the virtual time each was first deferred (conversion deadline).
   std::deque<std::pair<txn::Transaction, SimTime>> deferred_singles_;
 
-  // Pending (seen, uncommitted) cross-shard transactions: id -> accounts.
-  std::unordered_map<TxnId, std::vector<std::string>> pending_cross_;
-  /// Reference-counted account index over pending_cross_.
-  std::unordered_map<std::string, uint32_t> pending_cross_accounts_;
+  // Pending (seen, uncommitted) cross-shard transactions. A TxnId names one
+  // transaction, so its accounts are read back from the committing payload.
+  std::unordered_set<TxnId> pending_cross_;
+  /// Per account id (SharedClusterState::accounts), the number of
+  /// pending_cross_ transactions naming it; grown on demand, all zero when
+  /// pending_cross_ is empty.
+  std::vector<uint32_t> pending_cross_accounts_;
 
   // Preplay overlay: own-shard speculative writes from in-flight blocks.
   struct InFlightBlock {

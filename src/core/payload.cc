@@ -41,6 +41,17 @@ Hash256 ThunderboltPayload::ContentDigest() const {
   return digest_cache_;
 }
 
+const std::vector<uint32_t>& ThunderboltPayload::CrossAccountIds(
+    AccountInterner* interner) const {
+  if (!cross_account_ids_.empty()) return cross_account_ids_;
+  for (const txn::Transaction& tx : cross_shard) {
+    for (const std::string& account : tx.accounts) {
+      cross_account_ids_.push_back(interner->Intern(account));
+    }
+  }
+  return cross_account_ids_;
+}
+
 uint64_t ThunderboltPayload::SizeBytes() const {
   // Rough wire estimate: a transaction is ~120 bytes; a preplayed entry
   // additionally carries its read/write sets and results.

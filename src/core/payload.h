@@ -10,6 +10,9 @@
 #ifndef THUNDERBOLT_CORE_PAYLOAD_H_
 #define THUNDERBOLT_CORE_PAYLOAD_H_
 
+#include <cstdint>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/hash.h"
@@ -27,6 +30,30 @@ struct PreplayedTxn {
   std::vector<storage::Value> emitted;
 };
 
+/// Dense ids for account strings, assigned 0, 1, 2, ... in first-seen
+/// order. A simulated cluster keeps one (SharedClusterState::accounts), so
+/// each account string is hashed once per payload rather than once per
+/// replica, and per-replica account indexes can be flat vectors.
+class AccountInterner {
+ public:
+  /// Returned by Find for an account never interned.
+  static constexpr uint32_t kUnknown = UINT32_MAX;
+
+  uint32_t Intern(const std::string& account) {
+    return ids_.try_emplace(account, static_cast<uint32_t>(ids_.size()))
+        .first->second;
+  }
+  uint32_t Find(const std::string& account) const {
+    auto it = ids_.find(account);
+    return it == ids_.end() ? kUnknown : it->second;
+  }
+  /// Number of ids handed out; every id is below it.
+  size_t size() const { return ids_.size(); }
+
+ private:
+  std::unordered_map<std::string, uint32_t> ids_;
+};
+
 enum class PayloadKind : uint8_t {
   kNormal = 0,  // Preplayed single-shard txs and/or cross-shard txs.
   kSkip = 1,    // Preplay paused awaiting cross-shard finalization (5.4).
@@ -36,7 +63,8 @@ enum class PayloadKind : uint8_t {
 class ThunderboltPayload final : public dag::BlockContent {
  public:
   ThunderboltPayload() = default;
-  /// Copies drop the digest cache so a mutated copy re-hashes correctly.
+  /// Copies drop the digest and account-id memos so a mutated copy
+  /// recomputes them.
   ThunderboltPayload(const ThunderboltPayload& other)
       : kind(other.kind),
         shard(other.shard),
@@ -49,6 +77,7 @@ class ThunderboltPayload final : public dag::BlockContent {
       preplayed = other.preplayed;
       cross_shard = other.cross_shard;
       digest_cached_ = false;
+      cross_account_ids_.clear();
     }
     return *this;
   }
@@ -68,9 +97,17 @@ class ThunderboltPayload final : public dag::BlockContent {
   /// processing cost models.
   uint64_t SizeBytes() const override;
 
+  /// The interned ids of every cross_shard transaction's accounts,
+  /// flattened in transaction order: transaction i's ids follow those of
+  /// transactions 0..i-1, one per entry of its `accounts`. Computed by the
+  /// first caller and then reused; every call must pass the same interner.
+  const std::vector<uint32_t>& CrossAccountIds(AccountInterner* interner) const;
+
  private:
   mutable Hash256 digest_cache_{};
   mutable bool digest_cached_ = false;
+  /// Empty until computed (recomputing an empty list is free).
+  mutable std::vector<uint32_t> cross_account_ids_;
 };
 
 }  // namespace thunderbolt::core

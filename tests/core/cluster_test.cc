@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "testutil/testutil.h"
 
 namespace thunderbolt::core {
@@ -64,6 +66,32 @@ TEST(ClusterTest, AllCrossShard) {
   ClusterResult r = cluster.Run(Seconds(5));
   EXPECT_EQ(r.committed_single, 0u);
   EXPECT_GT(r.committed_cross, 200u);
+}
+
+TEST(ClusterTest, CrossShardArrivalsThatStopAllCommit) {
+  // A finite open-loop schedule of 400 arrivals over the first 100 ms,
+  // half of them cross-shard. Once the last one commits, no replica has a
+  // pending cross-shard transaction left, and the debug build asserts at
+  // every such commit that the P4 account index counts nothing.
+  auto cfg = SmallConfig();
+  cfg.service.enabled = true;
+  cfg.service.arrival = "trace";
+  std::string times;
+  for (int i = 0; i < 400; ++i) {
+    times += (i == 0 ? "" : ";") + std::to_string((i + 1) * 250);
+  }
+  cfg.service.arrival_params = "times=" + times;
+  auto wc = SmallWorkload();
+  wc.cross_shard_ratio = 0.5;
+  Cluster cluster(cfg, "smallbank", wc);
+  ClusterResult r = cluster.Run(Seconds(3));
+  EXPECT_EQ(r.offered, 400u);
+  EXPECT_EQ(r.admitted, 400u);
+  EXPECT_EQ(r.invalid_blocks, 0u);
+  EXPECT_GT(r.committed_cross, 100u);
+  EXPECT_EQ(r.committed_single + r.committed_cross, 400u);
+  EXPECT_TRUE(cluster.CheckInvariant().ok())
+      << cluster.CheckInvariant().ToString();
 }
 
 TEST(ClusterTest, TuskModeCommitsSerially) {
