@@ -45,6 +45,26 @@ class SerialContext final : public contract::ContractContext {
 
 }  // namespace
 
+ce::TxnRecord ExecuteSerialTxn(const contract::Registry& registry,
+                               const txn::Transaction& tx,
+                               storage::KVStore* store, uint64_t* ops) {
+  SerialContext ctx(store);
+  Status s = registry.Execute(tx, ctx);
+  if (s.ok()) {
+    for (const auto& [key, value] : ctx.writes) {
+      store->Put(key, value);
+      ctx.record.rw_set.writes.push_back(
+          txn::Operation{txn::OpType::kWrite, key, value});
+    }
+  } else {
+    // Deterministic no-op: drop buffered writes, keep the record empty.
+    ctx.record.rw_set.Clear();
+    ctx.record.emitted.clear();
+  }
+  *ops = ctx.ops;
+  return std::move(ctx.record);
+}
+
 SerialExecutionResult ExecuteSerial(const contract::Registry& registry,
                                     const std::vector<txn::Transaction>& batch,
                                     storage::KVStore* store,
@@ -53,23 +73,11 @@ SerialExecutionResult ExecuteSerial(const contract::Registry& registry,
   result.records.reserve(batch.size());
   int order = 0;
   for (const txn::Transaction& tx : batch) {
-    SerialContext ctx(store);
-    Status s = registry.Execute(tx, ctx);
-    if (s.ok()) {
-      for (const auto& [key, value] : ctx.writes) {
-        store->Put(key, value);
-        ctx.record.rw_set.writes.push_back(
-            txn::Operation{txn::OpType::kWrite, key, value});
-      }
-    } else {
-      // Deterministic no-op: drop buffered writes, keep the record empty.
-      ctx.record.rw_set.Clear();
-      ctx.record.emitted.clear();
-    }
-    ctx.record.order = order++;
-    result.total_ops += ctx.ops;
-    result.duration += ctx.ops * op_cost;
-    result.records.push_back(std::move(ctx.record));
+    uint64_t ops = 0;
+    result.records.push_back(ExecuteSerialTxn(registry, tx, store, &ops));
+    result.records.back().order = order++;
+    result.total_ops += ops;
+    result.duration += ops * op_cost;
   }
   return result;
 }

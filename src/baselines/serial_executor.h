@@ -20,6 +20,13 @@ struct SerialExecutionResult {
   uint64_t total_ops = 0;
 };
 
+/// Executes one transaction against `store` (writes applied when it
+/// commits) and returns its record; `*ops` receives the storage operations
+/// it performed. A contract-level failure is a no-op with an empty record.
+ce::TxnRecord ExecuteSerialTxn(const contract::Registry& registry,
+                               const txn::Transaction& tx,
+                               storage::KVStore* store, uint64_t* ops);
+
 /// Executes `batch` sequentially against `store` (writes applied as each
 /// transaction commits). `op_cost` is charged per storage operation on the
 /// virtual clock. Transactions that fail at the contract level (bad args)

@@ -1,5 +1,7 @@
 // SHA-256 implemented from scratch (FIPS 180-4) plus the fixed-size digest
-// value type used for block ids, transaction digests and signatures.
+// value type used for block ids, transaction digests and signatures. The
+// compression kernel is picked once per process: the x86 SHA extensions
+// where the CPU has them, else a portable one (common/hash_internal.h).
 #ifndef THUNDERBOLT_COMMON_HASH_H_
 #define THUNDERBOLT_COMMON_HASH_H_
 
@@ -80,8 +82,6 @@ class Sha256 {
   static Hash256 Digest(const void* data, size_t len);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];

@@ -9,7 +9,7 @@
 namespace thunderbolt::core {
 
 CrossShardResult CrossShardExecutor::Execute(
-    const std::vector<txn::Transaction>& txs, storage::KVStore* store,
+    const std::vector<const txn::Transaction*>& txs, storage::KVStore* store,
     const std::vector<ShardId>* home_shards,
     placement::AccessTracker* tracker) const {
   CrossShardResult result;
@@ -25,7 +25,7 @@ CrossShardResult CrossShardExecutor::Execute(
   std::unordered_map<std::string, SimTime> account_queue;
   SimTime total = 0;
   for (size_t t = 0; t < txs.size(); ++t) {
-    const txn::Transaction& tx = txs[t];
+    const txn::Transaction& tx = *txs[t];
     if (track) {
       // Remote-access accounting: every account this transaction reaches
       // outside its home shard is a pull the placement policy could have
@@ -38,12 +38,12 @@ CrossShardResult CrossShardExecutor::Execute(
         }
       }
     }
-    std::vector<txn::Transaction> one{tx};
-    baselines::SerialExecutionResult r =
-        baselines::ExecuteSerial(*registry_, one, store, op_cost_);
-    result.total_ops += r.total_ops;
+    uint64_t ops = 0;
+    baselines::ExecuteSerialTxn(*registry_, tx, store, &ops);
+    const SimTime duration = ops * op_cost_;
+    result.total_ops += ops;
     ++result.executed;
-    total += r.duration;
+    total += duration;
     // Chained dependency: the transaction starts after every queue it
     // participates in has drained; its cost extends all of them.
     SimTime ready = 0;
@@ -51,7 +51,7 @@ CrossShardResult CrossShardExecutor::Execute(
       ready = std::max(ready, account_queue[account]);
     }
     for (const std::string& account : tx.accounts) {
-      account_queue[account] = ready + r.duration;
+      account_queue[account] = ready + duration;
     }
   }
   result.distinct_accounts = account_queue.size();

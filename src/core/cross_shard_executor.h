@@ -54,15 +54,16 @@ class CrossShardExecutor {
         num_workers_(num_workers == 0 ? 1 : num_workers),
         mapper_(mapper) {}
 
-  /// Executes `txs` (already in consensus commit order) against `store`,
-  /// mutating it exactly as serial commit-order execution would.
+  /// Executes `txs` (already in consensus commit order, borrowed from the
+  /// committed payloads) against `store`, mutating it exactly as serial
+  /// commit-order execution would.
   ///
   /// With a mapper configured and `home_shards` given (one entry per
   /// transaction: the shard the transaction is anchored at), every account
   /// an execution reaches outside its home shard is counted into `tracker`
   /// — the per-shard access counters PlacementPolicy::Rebalance consults
   /// at the next reconfiguration boundary.
-  CrossShardResult Execute(const std::vector<txn::Transaction>& txs,
+  CrossShardResult Execute(const std::vector<const txn::Transaction*>& txs,
                            storage::KVStore* store,
                            const std::vector<ShardId>* home_shards = nullptr,
                            placement::AccessTracker* tracker = nullptr) const;

@@ -575,26 +575,26 @@ void ThunderboltNode::OnCommit(const dag::CommittedSubDag& sub_dag) {
     if (memo != shared_->cross_outcomes.end()) {
       cross_outcome = memo->second;
     } else {
-      std::vector<txn::Transaction> txs;
-      txs.reserve(crosses.size());
-      for (const txn::Transaction* tx : crosses) txs.push_back(*tx);
       if (config_.mode == ExecutionMode::kTusk) {
         // Serial post-consensus execution.
-        baselines::SerialExecutionResult r = baselines::ExecuteSerial(
-            *registry_, txs, shared_->canonical.get(), config_.exec_costs.op_cost);
-        cross_outcome.executed = txs.size();
-        cross_outcome.duration = r.duration;
+        for (const txn::Transaction* tx : crosses) {
+          uint64_t ops = 0;
+          baselines::ExecuteSerialTxn(*registry_, *tx, shared_->canonical.get(),
+                                      &ops);
+          cross_outcome.duration += ops * config_.exec_costs.op_cost;
+        }
+        cross_outcome.executed = crosses.size();
       } else {
         // Home shards anchor the remote-access counters hot-key migration
         // ranks on: an account pulled in by a transaction homed elsewhere
         // is remote traffic its placement could have avoided.
         std::vector<ShardId> homes;
-        homes.reserve(txs.size());
-        for (const txn::Transaction& tx : txs) {
-          homes.push_back(workload_->HomeShard(tx));
+        homes.reserve(crosses.size());
+        for (const txn::Transaction* tx : crosses) {
+          homes.push_back(workload_->HomeShard(*tx));
         }
         CrossShardResult r =
-            cross_executor_.Execute(txs, shared_->canonical.get(), &homes,
+            cross_executor_.Execute(crosses, shared_->canonical.get(), &homes,
                                     &shared_->access_tracker);
         cross_outcome.executed = r.executed;
         cross_outcome.remote_accesses = r.remote_accesses;

@@ -30,6 +30,14 @@ class CrossShardTest : public ::testing::Test {
   txn::ShardMapper mapper_;
 };
 
+// Execute borrows the committed transactions by pointer.
+std::vector<const txn::Transaction*> Ptrs(
+    const std::vector<txn::Transaction>& txs) {
+  std::vector<const txn::Transaction*> out;
+  for (const txn::Transaction& tx : txs) out.push_back(&tx);
+  return out;
+}
+
 TEST_F(CrossShardTest, EmptyBatch) {
   storage::MemKVStore store;
   CrossShardExecutor ex(registry_.get(), Micros(10));
@@ -52,7 +60,7 @@ TEST_F(CrossShardTest, StateMatchesSerialExecution) {
   for (int i = 0; i < 100; ++i) txs.push_back(w.NextForShard(i % 4));
 
   CrossShardExecutor ex(registry_.get(), Micros(10));
-  CrossShardResult r = ex.Execute(txs, &store);
+  CrossShardResult r = ex.Execute(Ptrs(txs), &store);
   EXPECT_EQ(r.executed, txs.size());
 
   baselines::ExecuteSerial(*registry_, txs, &serial_store, Micros(10));
@@ -77,13 +85,13 @@ TEST_F(CrossShardTest, IndependentQueuesRunInParallel) {
       Send(2, per_shard[2], per_shard[3], 10),
   };
   CrossShardExecutor ex(registry_.get(), Micros(10));
-  CrossShardResult r = ex.Execute(txs, &store);
+  CrossShardResult r = ex.Execute(Ptrs(txs), &store);
   EXPECT_EQ(r.distinct_accounts, 4u);
   // Makespan is one transaction's cost (queues drain in parallel), while
   // chained transactions on the same accounts take twice as long.
   CrossShardResult serial_like =
-      ex.Execute({Send(3, per_shard[0], per_shard[1], 1),
-                  Send(4, per_shard[1], per_shard[0], 1)},
+      ex.Execute(Ptrs({Send(3, per_shard[0], per_shard[1], 1),
+                       Send(4, per_shard[1], per_shard[0], 1)}),
                  &store);
   EXPECT_EQ(serial_like.distinct_accounts, 2u);
   EXPECT_LT(r.duration, serial_like.duration);
@@ -107,7 +115,7 @@ TEST_F(CrossShardTest, SharedAccountsChainInCommitOrder) {
       Send(2, per_shard[1], per_shard[2], 50),
   };
   CrossShardExecutor ex(registry_.get(), Micros(10));
-  CrossShardResult r = ex.Execute(txs, &store);
+  CrossShardResult r = ex.Execute(Ptrs(txs), &store);
   EXPECT_EQ(r.distinct_accounts, 3u);
   EXPECT_EQ(store.GetOrDefault(txn::CheckingKey(per_shard[1]), -1), 10);
   EXPECT_EQ(store.GetOrDefault(txn::CheckingKey(per_shard[2]), -1), 50);
@@ -127,8 +135,8 @@ TEST_F(CrossShardTest, WorkerPoolBoundsMakespan) {
   CrossShardExecutor two(registry_.get(), Micros(10), 2);
   CrossShardExecutor eight(registry_.get(), Micros(10), 8);
   storage::MemKVStore s1 = store.Clone(), s2 = store.Clone();
-  CrossShardResult r2 = two.Execute(txs, &s1);
-  CrossShardResult r8 = eight.Execute(txs, &s2);
+  CrossShardResult r2 = two.Execute(Ptrs(txs), &s1);
+  CrossShardResult r8 = eight.Execute(Ptrs(txs), &s2);
   EXPECT_EQ(s1.ContentFingerprint(), s2.ContentFingerprint());
   EXPECT_GT(r2.duration, r8.duration);
   EXPECT_EQ(r2.critical_path, r8.critical_path);
