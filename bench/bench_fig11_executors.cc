@@ -8,6 +8,16 @@
 // throughput (tps), mean latency (s), and mean re-executions per txn over
 // the SmallBank workload with 10,000 accounts at theta = 0.85 — the
 // paper's CE experiment setup (section 11).
+//
+// Flags:
+//   --quick                  4 batches per cell instead of 20
+//   --store <spec>           storage backend                    [mem]
+//   --pool <name>            executor pool: sim, thread         [sim]
+//   --json <path>            dump the tables as JSON
+//   --trace-out, --metrics-out, --timeseries-out <path>  artifacts of the
+//                            whole sweep                        [disabled]
+//   --trace-capacity <n>     trace ring size in events          [65536]
+//   --timeseries-window <us> time-series window width           [100000]
 #include <memory>
 
 #include "baselines/occ_engine.h"
@@ -34,8 +44,7 @@ struct Measurement {
 
 Measurement RunConfig(int kind, uint32_t executors, uint32_t batch_size,
                       double read_ratio, uint32_t runs,
-                      const bench::StoreSelection& store_sel,
-                      const bench::PoolSelection& pool_sel,
+                      const core::ThunderboltConfig& base,
                       obs::Observability* obs) {
   workload::SmallBankConfig wc;
   wc.num_accounts = 10000;
@@ -43,11 +52,12 @@ Measurement RunConfig(int kind, uint32_t executors, uint32_t batch_size,
   wc.read_ratio = read_ratio;
   wc.seed = 1234;
   workload::SmallBankWorkload w(wc);
-  std::unique_ptr<storage::KVStore> store = store_sel.Create();
+  std::unique_ptr<storage::KVStore> store = bench::CreateStore(base.store);
   w.InitStore(store.get());
   auto registry = contract::Registry::CreateDefault();
 
-  std::unique_ptr<ce::ExecutorPool> pool = pool_sel.Create(executors);
+  std::unique_ptr<ce::ExecutorPool> pool =
+      ce::CreateExecutorPool(base.pool, executors, {});
   pool->SetObs(ce::PoolObsContext{obs->tracer(), &obs->metrics(), 0});
   SimTime total_time = 0;
   uint64_t total_txns = 0, total_aborts = 0;
@@ -89,8 +99,7 @@ Measurement RunConfig(int kind, uint32_t executors, uint32_t batch_size,
 }
 
 void RunWorkload(const char* title, double read_ratio, uint32_t runs,
-                 const bench::StoreSelection& store_sel,
-                 const bench::PoolSelection& pool_sel,
+                 const core::ThunderboltConfig& base,
                  obs::Observability* obs) {
   std::printf("\n--- %s ---\n", title);
   bench::Table table({"engine", "batch", "executors", "tput(tps)",
@@ -102,7 +111,7 @@ void RunWorkload(const char* title, double read_ratio, uint32_t runs,
     for (uint32_t batch : {300u, 500u}) {
       for (uint32_t executors : {1u, 4u, 8u, 12u, 16u}) {
         Measurement m = RunConfig(engine.kind, executors, batch,
-                                  read_ratio, runs, store_sel, pool_sel, obs);
+                                  read_ratio, runs, base, obs);
         table.Row({engine.name, bench::FmtInt(batch),
                    bench::FmtInt(executors), bench::Fmt(m.tps, 0),
                    bench::Fmt(m.latency_s, 4), bench::Fmt(m.re_executions, 3)});
@@ -116,25 +125,25 @@ void RunWorkload(const char* title, double read_ratio, uint32_t runs,
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
-  const uint32_t runs = bench::QuickMode(argc, argv) ? 4 : 20;
-  const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
-  const bench::PoolSelection pool = bench::PoolFromFlags(argc, argv);
-  bench::ObsSelection obs_sel = bench::ObsFromFlags(argc, argv);
+  bench::Flags flags(argc, argv);
+  const uint32_t runs = flags.Has("quick") ? 4 : 20;
+  const std::string json = flags.Value("json");
+  bench::ClusterFlags cf = bench::ParseClusterFlags(flags, bench::kPoolFlags);
+  flags.RejectUnread();
   // One bundle for the whole sweep: batch benches have no Cluster, so the
   // pools record into this standalone bundle directly.
-  std::unique_ptr<obs::Observability> obs = obs_sel.MakeBundle();
+  obs::Observability obs(cf.config.obs);
   bench::Banner(
       "Figure 11", "CE vs OCC vs 2PL-No-Wait across executor counts",
       "throughput rises then plateaus (~12 executors for Thunderbolt/OCC); "
       "2PL-No-Wait degrades beyond 8 executors; Thunderbolt has the fewest "
       "re-executions (~50% of OCC, ~10% of 2PL at b500)");
-  if (pool.name != "sim") {
-    std::printf("pool: %s (wall-clock timings)\n", pool.name.c_str());
+  if (cf.config.pool != "sim") {
+    std::printf("pool: %s (wall-clock timings)\n", cf.config.pool.c_str());
   }
-  RunWorkload("(a) read-write balanced, Pr = 0.5", 0.5, runs, store, pool,
-              obs.get());
-  RunWorkload("(b) update-only, Pr = 0", 0.0, runs, store, pool, obs.get());
-  obs_sel.Capture(*obs);
-  return bench::WriteTablesJsonIfRequested(argc, argv, "fig11") |
-         obs_sel.WriteIfRequested();
+  RunWorkload("(a) read-write balanced, Pr = 0.5", 0.5, runs, cf.config, &obs);
+  RunWorkload("(b) update-only, Pr = 0", 0.0, runs, cf.config, &obs);
+  cf.artifacts.Capture(obs);
+  return bench::WriteTablesJsonIfRequested(json, "fig11") |
+         cf.artifacts.WriteIfRequested();
 }

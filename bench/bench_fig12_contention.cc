@@ -5,6 +5,16 @@
 //
 // Engines: Thunderbolt CE, OCC, 2PL-No-Wait; batch sizes 300 and 500;
 // 12 executors (the plateau point of Figure 11).
+//
+// Flags:
+//   --quick                  4 batches per cell instead of 20
+//   --store <spec>           storage backend                    [mem]
+//   --pool <name>            executor pool: sim, thread         [sim]
+//   --json <path>            dump the tables as JSON
+//   --trace-out, --metrics-out, --timeseries-out <path>  artifacts of the
+//                            whole sweep                        [disabled]
+//   --trace-capacity <n>     trace ring size in events          [65536]
+//   --timeseries-window <us> time-series window width           [100000]
 #include <memory>
 
 #include "baselines/occ_engine.h"
@@ -33,8 +43,7 @@ struct SweepObs {
 
 Measurement RunConfig(int kind, uint32_t batch_size, double theta,
                       double read_ratio, uint32_t runs,
-                      const bench::StoreSelection& store_sel,
-                      const bench::PoolSelection& pool_sel,
+                      const core::ThunderboltConfig& base,
                       obs::Observability* obs, SweepObs* sweep) {
   workload::SmallBankConfig wc;
   wc.num_accounts = 10000;
@@ -42,11 +51,12 @@ Measurement RunConfig(int kind, uint32_t batch_size, double theta,
   wc.read_ratio = read_ratio;
   wc.seed = 4321;
   workload::SmallBankWorkload w(wc);
-  std::unique_ptr<storage::KVStore> store = store_sel.Create();
+  std::unique_ptr<storage::KVStore> store = bench::CreateStore(base.store);
   w.InitStore(store.get());
   auto registry = contract::Registry::CreateDefault();
   // 12 executors: the Figure 11 plateau point.
-  std::unique_ptr<ce::ExecutorPool> pool = pool_sel.Create(12);
+  std::unique_ptr<ce::ExecutorPool> pool =
+      ce::CreateExecutorPool(base.pool, 12, {});
   pool->SetObs(ce::PoolObsContext{obs->tracer(), &obs->metrics(), 0});
 
   SimTime total_time = 0;
@@ -87,9 +97,8 @@ Measurement RunConfig(int kind, uint32_t batch_size, double theta,
 
 const char* kEngineNames[] = {"Thunderbolt", "OCC", "2PL-No-Wait"};
 
-void ThetaSweep(uint32_t runs, const bench::StoreSelection& store,
-                const bench::PoolSelection& pool, obs::Observability* obs,
-                SweepObs* sweep) {
+void ThetaSweep(uint32_t runs, const core::ThunderboltConfig& base,
+                obs::Observability* obs, SweepObs* sweep) {
   std::printf("\n--- (a,b) theta sweep, Pr = 0.5 ---\n");
   bench::Table table(
       {"engine", "batch", "theta", "tput(tps)", "latency(s)"},
@@ -98,8 +107,7 @@ void ThetaSweep(uint32_t runs, const bench::StoreSelection& store,
     for (uint32_t batch : {300u, 500u}) {
       for (double theta : {0.75, 0.8, 0.85, 0.9}) {
         Measurement m =
-            RunConfig(kind, batch, theta, 0.5, runs, store, pool, obs,
-                      sweep);
+            RunConfig(kind, batch, theta, 0.5, runs, base, obs, sweep);
         table.Row({kEngineNames[kind], bench::FmtInt(batch),
                    bench::Fmt(theta, 2), bench::Fmt(m.tps, 0),
                    bench::Fmt(m.latency_s, 4)});
@@ -108,9 +116,8 @@ void ThetaSweep(uint32_t runs, const bench::StoreSelection& store,
   }
 }
 
-void ReadRatioSweep(uint32_t runs, const bench::StoreSelection& store,
-                    const bench::PoolSelection& pool, obs::Observability* obs,
-                    SweepObs* sweep) {
+void ReadRatioSweep(uint32_t runs, const core::ThunderboltConfig& base,
+                    obs::Observability* obs, SweepObs* sweep) {
   std::printf("\n--- (c,d) Pr sweep, theta = 0.85 ---\n");
   bench::Table table({"engine", "batch", "Pr", "tput(tps)", "latency(s)"},
                      "read_ratio_sweep");
@@ -118,8 +125,7 @@ void ReadRatioSweep(uint32_t runs, const bench::StoreSelection& store,
     for (uint32_t batch : {300u, 500u}) {
       for (double pr : {1.0, 0.8, 0.5, 0.1, 0.0}) {
         Measurement m =
-            RunConfig(kind, batch, 0.85, pr, runs, store, pool, obs,
-                      sweep);
+            RunConfig(kind, batch, 0.85, pr, runs, base, obs, sweep);
         table.Row({kEngineNames[kind], bench::FmtInt(batch),
                    bench::Fmt(pr, 1), bench::Fmt(m.tps, 0),
                    bench::Fmt(m.latency_s, 4)});
@@ -133,27 +139,28 @@ void ReadRatioSweep(uint32_t runs, const bench::StoreSelection& store,
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
-  const uint32_t runs = bench::QuickMode(argc, argv) ? 4 : 20;
-  const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
-  const bench::PoolSelection pool = bench::PoolFromFlags(argc, argv);
-  bench::ObsSelection obs_sel = bench::ObsFromFlags(argc, argv);
+  bench::Flags flags(argc, argv);
+  const uint32_t runs = flags.Has("quick") ? 4 : 20;
+  const std::string json = flags.Value("json");
+  bench::ClusterFlags cf = bench::ParseClusterFlags(flags, bench::kPoolFlags);
+  flags.RejectUnread();
   // One bundle for the whole sweep: batch benches have no Cluster, so the
   // pools record into this standalone bundle directly.
-  std::unique_ptr<obs::Observability> obs = obs_sel.MakeBundle();
+  obs::Observability obs(cf.config.obs);
   bench::Banner(
       "Figure 12", "CE under varying contention (theta) and read ratio (Pr)",
       "comparable Thunderbolt/OCC at theta=0.75; OCC declines sharply by "
       "theta=0.9 while Thunderbolt stays ahead; at Pr=1 all engines "
       "converge (OCC slightly best); lower Pr hurts 2PL most and "
       "Thunderbolt beats OCC on write-heavy mixes");
-  if (pool.name != "sim") {
-    std::printf("pool: %s (wall-clock timings)\n", pool.name.c_str());
+  if (cf.config.pool != "sim") {
+    std::printf("pool: %s (wall-clock timings)\n", cf.config.pool.c_str());
   }
   SweepObs sweep;
-  ThetaSweep(runs, store, pool, obs.get(), &sweep);
-  ReadRatioSweep(runs, store, pool, obs.get(), &sweep);
+  ThetaSweep(runs, cf.config, &obs, &sweep);
+  ReadRatioSweep(runs, cf.config, &obs, &sweep);
   bench::PhaseLatencyTable(sweep.phases);
-  obs_sel.Capture(*obs);
-  return bench::WriteTablesJsonIfRequested(argc, argv, "fig12") |
-         obs_sel.WriteIfRequested();
+  cf.artifacts.Capture(obs);
+  return bench::WriteTablesJsonIfRequested(json, "fig12") |
+         cf.artifacts.WriteIfRequested();
 }

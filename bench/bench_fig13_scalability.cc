@@ -7,6 +7,19 @@
 //
 // Also prints the paper's headline: Thunderbolt's speedup over serial
 // Tusk execution at the largest scale (paper: ~50x at 64 replicas).
+//
+// Flags:
+//   --quick                  shorter virtual durations
+//   --workload <name>        registered workload                [smallbank]
+//   --params <k=v,...>       WorkloadOptions overrides
+//   --placement <name>       placement policy                   [hash]
+//   --placement-params <k=v,...>  policy parameters             []
+//   --store <spec>           storage backend                    [mem]
+//   --json <path>            dump the tables as JSON
+//   --trace-out, --metrics-out, --timeseries-out <path>  artifacts of the
+//                            LAST cluster run                   [disabled]
+//   --trace-capacity <n>     trace ring size in events          [65536]
+//   --timeseries-window <us> time-series window width           [100000]
 #include "bench/bench_util.h"
 #include "core/cluster.h"
 
@@ -19,12 +32,8 @@ struct RunOut {
 };
 
 RunOut RunOne(core::ExecutionMode mode, uint32_t n, bool wan,
-              const std::string& workload_name,
-              const workload::WorkloadOptions& options,
-              const bench::PlacementSelection& placement,
-              const bench::StoreSelection& store, bench::ObsSelection* obs,
-              SimTime warmup, SimTime duration) {
-  core::ThunderboltConfig cfg;
+              bench::ClusterFlags* cf, SimTime warmup, SimTime duration) {
+  core::ThunderboltConfig cfg = cf->config;
   cfg.n = n;
   cfg.mode = mode;
   cfg.batch_size = 500;
@@ -32,14 +41,11 @@ RunOut RunOne(core::ExecutionMode mode, uint32_t n, bool wan,
   cfg.num_validators = 16;
   cfg.latency = wan ? net::LatencyModel::Wan() : net::LatencyModel::Lan();
   cfg.seed = 77;
-  placement.ApplyTo(&cfg);
-  store.ApplyTo(&cfg);
-  obs->ApplyTo(&cfg);
 
-  core::Cluster cluster(cfg, workload_name, options);
+  core::Cluster cluster(cfg, cf->workload, cf->options);
   cluster.Run(warmup);  // Excluded: pipeline fill / first commits.
   core::ClusterResult r = cluster.Run(duration);
-  obs->Capture(cluster.obs());
+  cf->artifacts.Capture(cluster.obs());
   return RunOut{r.throughput_tps, r.avg_latency_s};
 }
 
@@ -48,14 +54,13 @@ RunOut RunOne(core::ExecutionMode mode, uint32_t n, bool wan,
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
-  const bool quick = bench::QuickMode(argc, argv);
-  workload::WorkloadOptions options;
-  const std::string workload_name =
-      bench::ClusterWorkloadFromFlags(argc, argv, &options, /*seed=*/78);
-  const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv);
-  const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
-  bench::ObsSelection obs = bench::ObsFromFlags(argc, argv);
+  bench::Flags flags(argc, argv);
+  const bool quick = flags.Has("quick");
+  const std::string json = flags.Value("json");
+  bench::ClusterFlags cf = bench::ParseClusterFlags(
+      flags, bench::kWorkloadFlags | bench::kPlacementFlags,
+      /*workload_seed=*/78);
+  flags.RejectUnread();
   bench::Banner(
       "Figure 13", "throughput & latency vs replica count (LAN and WAN)",
       "Thunderbolt scales with replicas and beats Tusk by ~50x at 64 "
@@ -63,8 +68,8 @@ int main(int argc, char** argv) {
       "Tusk throughput stays flat (~11K tps) with latency growing to "
       "~100 s; WAN shows the same ordering with higher latencies");
   std::printf("workload: %s  placement: %s  store: %s\n",
-              workload_name.c_str(), placement.policy.c_str(),
-              store.name.c_str());
+              cf.workload.c_str(), cf.config.placement.c_str(),
+              cf.config.store.c_str());
 
   const core::ExecutionMode modes[] = {core::ExecutionMode::kThunderbolt,
                                        core::ExecutionMode::kThunderboltOcc,
@@ -84,8 +89,7 @@ int main(int argc, char** argv) {
         SimTime warmup = wan ? Seconds(2) : Seconds(1);
         SimTime duration = quick ? Seconds(n >= 64 ? 2 : 3)
                                  : Seconds(n >= 32 ? 3 : 5);
-        RunOut out = RunOne(modes[mi], n, wan, workload_name, options,
-                            placement, store, &obs, warmup, duration);
+        RunOut out = RunOne(modes[mi], n, wan, &cf, warmup, duration);
         table.Row({mode_names[mi], bench::FmtInt(n), bench::Fmt(out.tps, 0),
                    bench::Fmt(out.latency_s, 2)});
         if (!wan && n == 64) {
@@ -101,6 +105,6 @@ int main(int argc, char** argv) {
         "%.1fx (paper: ~50x)\n",
         tb64 / tusk64);
   }
-  return bench::WriteTablesJsonIfRequested(argc, argv, "fig13") |
-         obs.WriteIfRequested();
+  return bench::WriteTablesJsonIfRequested(json, "fig13") |
+         cf.artifacts.WriteIfRequested();
 }

@@ -6,6 +6,20 @@
 // policy: the crossfrac column (committed cross-shard fraction) is the
 // direct read-out of how much cross-shard traffic a policy avoids at the
 // same requested cross_shard_ratio.
+//
+// Flags:
+//   --quick                  shorter virtual durations
+//   --workload <name>        registered workload                [smallbank]
+//   --params <k=v,...>       WorkloadOptions overrides (not
+//                            cross_shard_ratio, which the sweep owns)
+//   --placement <name>       placement policy                   [hash]
+//   --placement-params <k=v,...>  policy parameters             []
+//   --store <spec>           storage backend                    [mem]
+//   --json <path>            dump the tables as JSON
+//   --trace-out, --metrics-out, --timeseries-out <path>  artifacts of the
+//                            LAST cluster run                   [disabled]
+//   --trace-capacity <n>     trace ring size in events          [65536]
+//   --timeseries-window <us> time-series window width           [100000]
 #include "bench/bench_util.h"
 #include "core/cluster.h"
 
@@ -13,24 +27,18 @@ namespace thunderbolt {
 namespace {
 
 void RunSweep(core::ExecutionMode mode, const char* name,
-              const std::string& workload_name,
-              workload::WorkloadOptions options,
-              const bench::PlacementSelection& placement,
-              const bench::StoreSelection& store, bench::ObsSelection* obs,
-              SimTime duration, bench::Table& table) {
+              bench::ClusterFlags* cf, SimTime duration, bench::Table& table) {
   for (double pct : {0.0, 0.04, 0.08, 0.20, 0.60, 1.0}) {
-    core::ThunderboltConfig cfg;
+    core::ThunderboltConfig cfg = cf->config;
     cfg.n = 16;
     cfg.mode = mode;
     cfg.batch_size = 500;
     cfg.seed = 90;
-    placement.ApplyTo(&cfg);
-    store.ApplyTo(&cfg);
-    obs->ApplyTo(&cfg);
+    workload::WorkloadOptions options = cf->options;
     options.cross_shard_ratio = pct;
-    core::Cluster cluster(cfg, workload_name, options);
+    core::Cluster cluster(cfg, cf->workload, options);
     core::ClusterResult r = cluster.Run(duration);
-    obs->Capture(cluster.obs());
+    cf->artifacts.Capture(cluster.obs());
     const uint64_t committed = r.committed_single + r.committed_cross;
     const double cross_frac =
         committed == 0
@@ -50,15 +58,13 @@ void RunSweep(core::ExecutionMode mode, const char* name,
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
-  const SimTime duration =
-      bench::QuickMode(argc, argv) ? Seconds(2) : Seconds(5);
-  workload::WorkloadOptions options;
-  const std::string workload_name = bench::ClusterWorkloadFromFlags(
-      argc, argv, &options, /*seed=*/91, {"cross_shard_ratio"});
-  const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv);
-  const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
-  bench::ObsSelection obs = bench::ObsFromFlags(argc, argv);
+  bench::Flags flags(argc, argv);
+  const SimTime duration = flags.Has("quick") ? Seconds(2) : Seconds(5);
+  const std::string json = flags.Value("json");
+  bench::ClusterFlags cf = bench::ParseClusterFlags(
+      flags, bench::kWorkloadFlags | bench::kPlacementFlags,
+      /*workload_seed=*/91, {"cross_shard_ratio"});
+  flags.RejectUnread();
   bench::Banner(
       "Figure 14", "cross-shard transaction ratio sweep on 16 replicas",
       "both Thunderbolt variants decline as P grows; at P=8% Thunderbolt "
@@ -67,16 +73,15 @@ int main(int argc, char** argv) {
       "execution; Thunderbolt latency roughly half of Thunderbolt-OCC "
       "under high contention");
   std::printf("workload: %s  placement: %s  store: %s\n",
-              workload_name.c_str(), placement.policy.c_str(),
-              store.name.c_str());
+              cf.workload.c_str(), cf.config.placement.c_str(),
+              cf.config.store.c_str());
   bench::Table table({"system", "cross%", "tput(tps)", "latency(s)",
                       "single", "cross", "crossfrac", "converted", "skips"});
-  RunSweep(core::ExecutionMode::kThunderbolt, "Thunderbolt", workload_name,
-           options, placement, store, &obs, duration, table);
-  RunSweep(core::ExecutionMode::kThunderboltOcc, "Thunderbolt-OCC",
-           workload_name, options, placement, store, &obs, duration, table);
-  RunSweep(core::ExecutionMode::kTusk, "Tusk", workload_name, options,
-           placement, store, &obs, duration, table);
-  return bench::WriteTablesJsonIfRequested(argc, argv, "fig14") |
-         obs.WriteIfRequested();
+  RunSweep(core::ExecutionMode::kThunderbolt, "Thunderbolt", &cf, duration,
+           table);
+  RunSweep(core::ExecutionMode::kThunderboltOcc, "Thunderbolt-OCC", &cf,
+           duration, table);
+  RunSweep(core::ExecutionMode::kTusk, "Tusk", &cf, duration, table);
+  return bench::WriteTablesJsonIfRequested(json, "fig14") |
+         cf.artifacts.WriteIfRequested();
 }

@@ -25,13 +25,21 @@
 //   --arrival <name>         arrival process             [poisson]
 //   --arrival-params <k=v,...>  process params           []
 //   --queue-depth <n>        per-shard admission bound   [4096]
+//   --limiter-rate <tps>     token-bucket rate; <= 0 is off  [0]
+//   --limiter-burst <tokens> token-bucket size; <= 0 derives one  [0]
 //   --codel-target-us <us>   codel sojourn target        [50000]
 //   --workload <name> / --params <k=v,...>  cluster workload [smallbank]
-//   --placement <name> / --store <name>     as in the other benches
+//   --placement <name> / --placement-params <k=v,...> / --store <spec>
+//                            as in the other benches
 //   --json <path>            dump the sweep tables as JSON
-//   --trace-out / --metrics-out / --timeseries-out   last-cell artifacts
+//   --trace-out / --metrics-out / --timeseries-out <path>  last-cell
+//                            artifacts; --trace-capacity <n> and
+//                            --timeseries-window <us> as elsewhere
 //   --smoke                  1 engine, shorter runs, fewer points (CI)
 //   --quick                  shorter runs only
+//
+// The sweep sets --rate itself (0.2x..2x of the calibrated saturation),
+// so the driver rejects that flag.
 #include <string>
 #include <vector>
 
@@ -46,42 +54,26 @@ struct EngineChoice {
   core::ExecutionMode mode;
 };
 
-std::vector<std::string> SplitList(const std::string& csv) {
-  std::vector<std::string> items;
-  size_t start = 0;
-  while (start <= csv.size()) {
-    size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    if (comma > start) items.push_back(csv.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return items;
-}
-
+/// The sweep's cluster shape over the shared flags' base config.
 core::ThunderboltConfig BaseConfig(core::ExecutionMode mode,
-                                   const bench::PlacementSelection& placement,
-                                   const bench::StoreSelection& store) {
-  core::ThunderboltConfig cfg;
+                                   core::ThunderboltConfig cfg) {
   cfg.n = 4;
   cfg.mode = mode;
   cfg.batch_size = 500;
   cfg.seed = 77;
-  placement.ApplyTo(&cfg);
-  store.ApplyTo(&cfg);
   return cfg;
 }
 
 /// Closed-loop saturation throughput: what the engine commits when the
 /// proposers pull as fast as the pipeline drains. This anchors the sweep's
 /// rate axis so "2x" means the same degree of overload on every engine.
+/// The calibration run has no front end and records no artifacts.
 double CalibrateSaturation(core::ExecutionMode mode,
-                           const std::string& workload_name,
-                           const workload::WorkloadOptions& options,
-                           const bench::PlacementSelection& placement,
-                           const bench::StoreSelection& store,
-                           SimTime duration) {
-  core::Cluster cluster(BaseConfig(mode, placement, store), workload_name,
-                        options);
+                           const bench::ClusterFlags& cf, SimTime duration) {
+  core::ThunderboltConfig cfg = BaseConfig(mode, cf.config);
+  cfg.service = svc::ServiceConfig{};
+  cfg.obs = obs::ObsOptions{};
+  core::Cluster cluster(cfg, cf.workload, cf.options);
   const core::ClusterResult r = cluster.Run(duration);
   // An engine that commits (almost) nothing would collapse the rate axis;
   // floor the anchor so the sweep still exercises the admission machinery.
@@ -93,79 +85,55 @@ double CalibrateSaturation(core::ExecutionMode mode,
 
 int main(int argc, char** argv) {
   using namespace thunderbolt;
-  const bool smoke = bench::HasFlag(argc, argv, "smoke");
-  const bool quick = smoke || bench::QuickMode(argc, argv);
+  bench::Flags flags(argc, argv);
+  const bool smoke = flags.Has("smoke");
+  const bool quick = flags.Has("quick") || smoke;
   const SimTime duration = quick ? Seconds(1) : Seconds(3);
-
-  workload::WorkloadOptions options;
-  const std::string workload_name =
-      bench::ClusterWorkloadFromFlags(argc, argv, &options, /*seed=*/77);
-  const bench::PlacementSelection placement =
-      bench::PlacementFromFlags(argc, argv);
-  const bench::StoreSelection store = bench::StoreFromFlags(argc, argv);
-  bench::ObsSelection obs = bench::ObsFromFlags(argc, argv);
+  const std::string json = flags.Value("json");
 
   // The sweep owns the rate and policy axes; take the front end's shape
-  // (arrival process, queue depth, codel target) from the shared flags.
-  // --admission is a comma LIST here (the policy sweep), which the shared
-  // single-name parser would reject — hide it from ServiceFromFlags.
-  std::vector<char*> fe_args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--admission") {
-      ++i;  // Skip the value too.
-      continue;
-    }
-    if (arg.rfind("--admission=", 0) == 0) continue;
-    fe_args.push_back(argv[i]);
-  }
-  bench::ServiceSelection service =
-      bench::ServiceFromFlags(static_cast<int>(fe_args.size()),
-                              fe_args.data());
-  service.config.enabled = true;
-  if (bench::FlagValue(argc, argv, "queue-depth").empty()) {
-    // Deep enough that drop-tail's standing-queue latency clearly exceeds
-    // the codel target — the contrast the figure is about.
-    service.config.queue_depth = 4096;
-  }
+  // (arrival process, queue depth, limiter, codel target) from the shared
+  // flags.
+  bench::ClusterFlags cf = bench::ParseClusterFlags(
+      flags,
+      bench::kWorkloadFlags | bench::kPlacementFlags | bench::kServiceFlags,
+      /*workload_seed=*/77);
+  svc::ServiceConfig& service = cf.config.service;
+  service.enabled = true;
+  // Deep enough that drop-tail's standing-queue latency clearly exceeds
+  // the codel target — the contrast the figure is about.
+  service.queue_depth = flags.Number<uint32_t>("queue-depth", 4096);
 
   std::vector<EngineChoice> engines;
-  {
-    std::string spec = bench::FlagValue(argc, argv, "engine");
-    std::vector<std::string> names =
-        spec.empty() ? std::vector<std::string>{"thunderbolt", "tusk"}
-                     : SplitList(spec);
-    if (smoke && spec.empty()) names = {"thunderbolt"};
-    for (const std::string& name : names) {
-      if (name == "thunderbolt") {
-        engines.push_back({name, core::ExecutionMode::kThunderbolt});
-      } else if (name == "occ") {
-        engines.push_back({name, core::ExecutionMode::kThunderboltOcc});
-      } else if (name == "tusk") {
-        engines.push_back({name, core::ExecutionMode::kTusk});
-      } else {
-        std::fprintf(stderr,
-                     "unknown --engine \"%s\" (thunderbolt, occ, tusk)\n",
-                     name.c_str());
-        return 2;
-      }
+  const std::string engine_spec = flags.Value("engine");
+  std::vector<std::string> engine_names =
+      engine_spec.empty() ? std::vector<std::string>{"thunderbolt", "tusk"}
+                          : bench::SplitList(engine_spec);
+  if (smoke && engine_spec.empty()) engine_names = {"thunderbolt"};
+  for (const std::string& name : engine_names) {
+    if (name == "thunderbolt") {
+      engines.push_back({name, core::ExecutionMode::kThunderbolt});
+    } else if (name == "occ") {
+      engines.push_back({name, core::ExecutionMode::kThunderboltOcc});
+    } else if (name == "tusk") {
+      engines.push_back({name, core::ExecutionMode::kTusk});
+    } else {
+      bench::RequireKnown(false, "engine", name,
+                          {"thunderbolt", "occ", "tusk"});
     }
   }
-  std::vector<std::string> policies;
-  {
-    // --admission here selects the POLICY SWEEP (comma list), unlike the
-    // single-policy flag of the other benches.
-    std::string spec = bench::FlagValue(argc, argv, "admission");
-    policies = spec.empty() ? svc::AdmissionPolicyNames() : SplitList(spec);
-    for (const std::string& name : policies) {
-      svc::AdmissionPolicy parsed;
-      if (!svc::ParseAdmissionPolicy(name, &parsed)) {
-        std::fprintf(stderr, "unknown admission policy \"%s\"\n",
-                     name.c_str());
-        return 2;
-      }
-    }
+  // --admission here selects the POLICY SWEEP (comma list), unlike the
+  // single-policy flag of the other benches.
+  const std::string policy_spec = flags.Value("admission");
+  const std::vector<std::string> policies =
+      policy_spec.empty() ? svc::AdmissionPolicyNames()
+                          : bench::SplitList(policy_spec);
+  for (const std::string& name : policies) {
+    svc::AdmissionPolicy parsed;
+    bench::RequireKnown(svc::ParseAdmissionPolicy(name, &parsed),
+                        "admission policy", name, svc::AdmissionPolicyNames());
   }
+  flags.RejectUnread();
   const std::vector<double> mults =
       smoke ? std::vector<double>{0.25, 0.5, 1.0, 2.0}
             : std::vector<double>{0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.6, 2.0};
@@ -177,8 +145,8 @@ int main(int argc, char** argv) {
       "beyond the knee drop-tail's p999 plateaus at the full standing "
       "queue (bufferbloat) while shed-oldest and codel keep it bounded");
   std::printf("workload: %s  arrival: %s  queue-depth: %u  duration: %.1fs\n",
-              workload_name.c_str(), service.config.arrival.c_str(),
-              service.config.queue_depth, ToSeconds(duration));
+              cf.workload.c_str(), service.arrival.c_str(),
+              service.queue_depth, ToSeconds(duration));
 
   bench::Table table(
       {"engine", "policy", "mult", "offered(tps)", "tput(tps)", "p99(s)",
@@ -186,25 +154,22 @@ int main(int argc, char** argv) {
       "overload");
   bool all_ok = true;
   for (const EngineChoice& engine : engines) {
-    const double saturation = CalibrateSaturation(
-        engine.mode, workload_name, options, placement, store, duration);
+    const double saturation =
+        CalibrateSaturation(engine.mode, cf, duration);
     std::printf("\n%s closed-loop saturation: %.0f tps\n",
                 engine.name.c_str(), saturation);
     for (const std::string& policy : policies) {
       for (double mult : mults) {
-        core::ThunderboltConfig cfg =
-            BaseConfig(engine.mode, placement, store);
-        service.config.admission = policy;
-        service.config.rate_tps = saturation * mult;
-        service.ApplyTo(&cfg);
-        obs.ApplyTo(&cfg);
-        core::Cluster cluster(cfg, workload_name, options);
+        core::ThunderboltConfig cfg = BaseConfig(engine.mode, cf.config);
+        cfg.service.admission = policy;
+        cfg.service.rate_tps = saturation * mult;
+        core::Cluster cluster(cfg, cf.workload, cf.options);
         const core::ClusterResult r = cluster.Run(duration);
         if (!cluster.CheckInvariant().ok()) all_ok = false;
-        obs.Capture(cluster.obs());
+        cf.artifacts.Capture(cluster.obs());
         const bool idle = r.latency_samples == 0;
         table.Row({engine.name, policy, bench::Fmt(mult, 2),
-                   bench::Fmt(service.config.rate_tps, 0),
+                   bench::Fmt(cfg.service.rate_tps, 0),
                    bench::Fmt(r.throughput_tps, 0),
                    idle ? "-" : bench::Fmt(r.p99_latency_s, 4),
                    idle ? "-" : bench::Fmt(r.p999_latency_s, 4),
@@ -215,6 +180,6 @@ int main(int argc, char** argv) {
     }
   }
   if (!all_ok) std::fprintf(stderr, "workload invariant VIOLATED\n");
-  return bench::WriteTablesJsonIfRequested(argc, argv, "overload") |
-         obs.WriteIfRequested() | (all_ok ? 0 : 1);
+  return bench::WriteTablesJsonIfRequested(json, "overload") |
+         cf.artifacts.WriteIfRequested() | (all_ok ? 0 : 1);
 }

@@ -8,6 +8,7 @@
 #define THUNDERBOLT_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -15,13 +16,17 @@
 #include <initializer_list>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "ce/executor_pool.h"
 #include "core/config.h"
 #include "obs/latency.h"
 #include "obs/obs.h"
 #include "placement/placement.h"
 #include "storage/kv_store.h"
+#include "svc/admission.h"
+#include "svc/arrival.h"
 #include "svc/service.h"
 #include "workload/workload.h"
 
@@ -197,35 +202,133 @@ inline void PhaseLatencyTable(const obs::LatencyBreakdown& phases) {
   }
 }
 
-/// Parses "--quick" from argv: benches shorten their virtual durations so
-/// the whole suite runs in CI-friendly time.
-inline bool QuickMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--quick") return true;
+/// Exits with code 2 unless `known`, naming `name` and the `registered`
+/// alternatives: a typo must not silently bench a default.
+inline void RequireKnown(bool known, const char* what,
+                         const std::string& name,
+                         const std::vector<std::string>& registered) {
+  if (known) return;
+  std::fprintf(stderr, "unknown %s \"%s\"; registered:", what, name.c_str());
+  for (const std::string& n : registered) {
+    std::fprintf(stderr, " %s", n.c_str());
   }
-  return false;
+  std::fprintf(stderr, "\n");
+  std::exit(2);
 }
 
-/// True when the bare flag `--<name>` appears in argv.
-inline bool HasFlag(int argc, char** argv, const std::string& name) {
-  const std::string flag = "--" + name;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == flag) return true;
+/// Parses `text`, the value of `--<flag>`, as a T. The whole text must
+/// parse to a finite number, and to one above zero when `positive`;
+/// anything else exits with code 2.
+template <typename T>
+T ParseNumber(const std::string& flag, const std::string& text,
+              bool positive = true) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), end, value);
+  bool ok = parsed.ec == std::errc() && parsed.ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok || (positive && !(value > 0))) {
+    std::fprintf(stderr, "invalid --%s \"%s\"%s\n", flag.c_str(), text.c_str(),
+                 positive ? " (need a number > 0)" : "");
+    std::exit(2);
   }
-  return false;
+  return value;
 }
 
-/// Returns the value of `--<name> <value>` or `--<name>=<value>`, or ""
-/// when the flag is absent.
-inline std::string FlagValue(int argc, char** argv, const std::string& name) {
-  const std::string flag = "--" + name;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == flag && i + 1 < argc) return argv[i + 1];
-    if (arg.rfind(flag + "=", 0) == 0) return arg.substr(flag.size() + 1);
+/// Splits a comma list, dropping empty items.
+inline std::vector<std::string> SplitList(const std::string& csv) {
+  std::vector<std::string> items;
+  size_t start = 0;
+  while (start <= csv.size()) {
+    size_t comma = csv.find(',', start);
+    if (comma == std::string::npos) comma = csv.size();
+    if (comma > start) items.push_back(csv.substr(start, comma - start));
+    start = comma + 1;
   }
-  return "";
+  return items;
 }
+
+/// A driver's view of argv: `--name` switches and `--name <value>` /
+/// `--name=<value>` flags. Each read consumes the argv entries it matched
+/// and records the name, so once a driver has read every flag it knows,
+/// RejectUnread() turns a typo, a flag this driver does not read, or a
+/// second value for one flag into exit code 2 instead of a run on
+/// defaults.
+class Flags {
+ public:
+  Flags(int argc, char** argv)
+      : args_(argv + 1, argv + argc), consumed_(args_.size(), false) {}
+
+  /// True when the switch `--<name>` is given.
+  bool Has(const std::string& name) {
+    Note(name);
+    bool found = false;
+    for (size_t i = 0; i < args_.size(); ++i) {
+      if (args_[i] != "--" + name) continue;
+      consumed_[i] = true;
+      found = true;
+    }
+    return found;
+  }
+
+  /// The value of `--<name>`, or `fallback` when the flag is absent.
+  std::string Value(const std::string& name, const std::string& fallback = "") {
+    Note(name);
+    const std::string flag = "--" + name;
+    for (size_t i = 0; i < args_.size(); ++i) {
+      if (args_[i] == flag) {
+        // No flag takes a value that starts with "--": that is the next
+        // flag, and `--json --quick` must not write a file named --quick.
+        if (i + 1 == args_.size() || args_[i + 1].rfind("--", 0) == 0) {
+          std::fprintf(stderr, "%s needs a value\n", flag.c_str());
+          std::exit(2);
+        }
+        consumed_[i] = consumed_[i + 1] = true;
+        return args_[i + 1];
+      }
+      if (args_[i].rfind(flag + "=", 0) == 0) {
+        consumed_[i] = true;
+        return args_[i].substr(flag.size() + 1);
+      }
+    }
+    return fallback;
+  }
+
+  /// The value of `--<name>` through ParseNumber, or `fallback` when the
+  /// flag is absent.
+  template <typename T>
+  T Number(const std::string& name, T fallback, bool positive = true) {
+    const std::string text = Value(name);
+    return text.empty() ? fallback : ParseNumber<T>(name, text, positive);
+  }
+
+  /// Exits with code 2 naming the first argv entry no read consumed, and
+  /// listing the flags this driver reads.
+  void RejectUnread() const {
+    for (size_t i = 0; i < args_.size(); ++i) {
+      if (consumed_[i]) continue;
+      std::fprintf(stderr, "unexpected argument \"%s\"; this driver reads:",
+                   args_[i].c_str());
+      for (const std::string& n : names_) {
+        std::fprintf(stderr, " --%s", n.c_str());
+      }
+      std::fprintf(stderr, "\n");
+      std::exit(2);
+    }
+  }
+
+ private:
+  void Note(const std::string& name) {
+    if (std::find(names_.begin(), names_.end(), name) == names_.end()) {
+      names_.push_back(name);
+    }
+  }
+
+  std::vector<std::string> args_;
+  std::vector<bool> consumed_;
+  std::vector<std::string> names_;
+};
 
 /// Exits with code 2 when `spec` (a `k=v,...` param string) assigns any
 /// of the `reserved` keys. Drivers reserve the axes their own flags or
@@ -248,292 +351,35 @@ inline void RejectReservedParams(const std::string& spec,
   }
 }
 
-/// Shared `--workload <name>` / `--params <k=v,...>` handling for the
-/// cluster figure binaries: seeds `options` with the paper's shared
-/// defaults (1000 records, theta 0.85, Pr 0.5, the figure's `seed`),
-/// then returns the registry workload name (default "smallbank") after
-/// applying any `--params` overrides — so every sharded bench sweeps
-/// workload x engine x cluster-size from one flag set. Keys listed in
-/// `reserved` (axes the figure itself sweeps) are rejected. Exits with
-/// code 2 on an unknown name or malformed params — a typo must not
-/// silently bench the wrong configuration.
-inline std::string ClusterWorkloadFromFlags(
-    int argc, char** argv, workload::WorkloadOptions* options, uint64_t seed,
-    std::initializer_list<const char*> reserved = {}) {
-  options->num_records = 1000;
-  options->theta = 0.85;
-  options->read_ratio = 0.5;
-  options->seed = seed;
-  std::string name = FlagValue(argc, argv, "workload");
-  if (name.empty()) name = "smallbank";
-  if (!workload::WorkloadRegistry::Global().Contains(name)) {
-    std::fprintf(stderr, "unknown workload \"%s\"; registered:", name.c_str());
-    for (const std::string& n : workload::WorkloadRegistry::Global().Names()) {
-      std::fprintf(stderr, " %s", n.c_str());
-    }
-    std::fprintf(stderr, "\n");
+/// Instantiates a store spec from storage::StoreRegistry. ParseClusterFlags
+/// checks only the base name, so a spec whose params the backend rejects
+/// ("mem:capactiy=16", "wal:inner=nosuch") fails here: exit with code 2
+/// rather than bench a null store. (The spec is not trial-built up front:
+/// a "wal:dir=" spec would touch its directory.)
+inline std::unique_ptr<storage::KVStore> CreateStore(const std::string& spec) {
+  std::unique_ptr<storage::KVStore> store =
+      storage::StoreRegistry::Global().Create(spec);
+  if (store == nullptr) {
+    std::fprintf(stderr, "store spec \"%s\" could not be built\n",
+                 spec.c_str());
     std::exit(2);
   }
-  const std::string spec = FlagValue(argc, argv, "params");
-  RejectReservedParams(spec, reserved);
-  Status s = workload::ApplyWorkloadParams(spec, options);
-  if (!s.ok()) {
-    std::fprintf(stderr, "bad --params: %s\n", s.ToString().c_str());
-    std::exit(2);
-  }
-  return name;
+  return store;
 }
 
-/// The placement policy a bench binary was asked to run with.
-struct PlacementSelection {
-  std::string policy = "hash";
-  std::string params;
-
-  void ApplyTo(core::ThunderboltConfig* config) const {
-    config->placement = policy;
-    config->placement_params = params;
-  }
-};
-
-/// Shared `--placement <name>` / `--placement-params <k=v,...>` handling
-/// for every bench binary: validates the policy name against
-/// placement::PlacementRegistry::Global() and exits with code 2 on a typo
-/// (mirroring the workload flag — a typo must not silently bench the
-/// default placement).
-inline PlacementSelection PlacementFromFlags(int argc, char** argv) {
-  PlacementSelection selection;
-  std::string name = FlagValue(argc, argv, "placement");
-  if (!name.empty()) {
-    if (!placement::PlacementRegistry::Global().Contains(name)) {
-      std::fprintf(stderr, "unknown placement policy \"%s\"; registered:",
-                   name.c_str());
-      for (const std::string& n :
-           placement::PlacementRegistry::Global().Names()) {
-        std::fprintf(stderr, " %s", n.c_str());
-      }
-      std::fprintf(stderr, "\n");
-      std::exit(2);
-    }
-    selection.policy = name;
-  }
-  selection.params = FlagValue(argc, argv, "placement-params");
-  return selection;
-}
-
-/// The storage backend a bench binary was asked to run with.
-struct StoreSelection {
-  std::string name = "mem";
-
-  void ApplyTo(core::ThunderboltConfig* config) const {
-    config->store = name;
-  }
-
-  /// Instantiates the backend from storage::StoreRegistry. StoreFromFlags
-  /// checks only the base name, so a spec whose params the backend rejects
-  /// ("mem:capactiy=16", "wal:inner=nosuch") fails here: exit with code 2
-  /// rather than bench a null store. (The spec is not trial-built up
-  /// front: a "wal:dir=" spec would touch its directory.)
-  std::unique_ptr<storage::KVStore> Create() const {
-    std::unique_ptr<storage::KVStore> store =
-        storage::StoreRegistry::Global().Create(name);
-    if (store == nullptr) {
-      std::fprintf(stderr, "store spec \"%s\" could not be built\n",
-                   name.c_str());
-      std::exit(2);
-    }
-    return store;
-  }
-};
-
-/// Shared `--store <spec>` handling for every bench binary: validates the
-/// backend name against storage::StoreRegistry::Global() and exits with
-/// code 2 on a typo (mirroring --workload/--placement — a typo must not
-/// silently bench the default backend). Params are checked when the store
-/// is built (StoreSelection::Create, or core::Cluster for cluster benches).
-inline StoreSelection StoreFromFlags(int argc, char** argv) {
-  StoreSelection selection;
-  std::string name = FlagValue(argc, argv, "store");
-  if (!name.empty()) {
-    if (!storage::StoreRegistry::Global().Contains(name)) {
-      std::fprintf(stderr, "unknown store backend \"%s\"; registered:",
-                   name.c_str());
-      for (const std::string& n : storage::StoreRegistry::Global().Names()) {
-        std::fprintf(stderr, " %s", n.c_str());
-      }
-      std::fprintf(stderr, "\n");
-      std::exit(2);
-    }
-    selection.name = name;
-  }
-  return selection;
-}
-
-/// The executor pool a bench binary was asked to run with.
-struct PoolSelection {
-  std::string name = "sim";
-
-  void ApplyTo(core::ThunderboltConfig* config) const { config->pool = name; }
-
-  /// Instantiates the pool (never null: the name was validated by
-  /// PoolFromFlags).
-  std::unique_ptr<ce::ExecutorPool> Create(
-      uint32_t num_executors, ce::ExecutionCostModel costs = {}) const {
-    return ce::CreateExecutorPool(name, num_executors, costs);
-  }
-};
-
-/// Shared `--pool <name>` handling: validates against
-/// ce::ExecutorPoolNames() and exits with code 2 on a typo. "sim" keeps
-/// virtual-time determinism; "thread" measures real wall-clock scaling.
-inline PoolSelection PoolFromFlags(int argc, char** argv) {
-  PoolSelection selection;
-  std::string name = FlagValue(argc, argv, "pool");
-  if (!name.empty()) {
-    std::vector<std::string> names = ce::ExecutorPoolNames();
-    if (std::find(names.begin(), names.end(), name) == names.end()) {
-      std::fprintf(stderr, "unknown executor pool \"%s\"; registered:",
-                   name.c_str());
-      for (const std::string& n : names) std::fprintf(stderr, " %s", n.c_str());
-      std::fprintf(stderr, "\n");
-      std::exit(2);
-    }
-    selection.name = name;
-  }
-  return selection;
-}
-
-/// The open-loop service front end a bench binary was asked to run with
-/// (disabled unless --arrival or --rate is given).
-struct ServiceSelection {
-  svc::ServiceConfig config;
-
-  void ApplyTo(core::ThunderboltConfig* cluster_config) const {
-    cluster_config->service = config;
-  }
-};
-
-/// Shared `--arrival <name>` / `--arrival-params <k=v,...>` /
-/// `--rate <tps>` / `--admission <policy>` / `--queue-depth <n>` handling
-/// so every bench binary can run open-loop. Passing either `--arrival` or
-/// `--rate` enables the front end (the other takes its default); the
-/// remaining knobs refine it. Optional extras: `--limiter-rate <tps>` /
-/// `--limiter-burst <tokens>` (token bucket ahead of the queues) and
-/// `--codel-target-us <us>`. Validates the arrival name against
-/// svc::ArrivalRegistry and the policy against ParseAdmissionPolicy,
-/// exiting with code 2 on a typo (mirroring --workload/--placement — a
-/// typo must not silently bench the closed loop).
-inline ServiceSelection ServiceFromFlags(int argc, char** argv) {
-  ServiceSelection selection;
-  const std::string arrival = FlagValue(argc, argv, "arrival");
-  const std::string rate = FlagValue(argc, argv, "rate");
-  selection.config.enabled = !arrival.empty() || !rate.empty();
-  if (!arrival.empty()) {
-    if (!svc::ArrivalRegistry::Global().Contains(arrival)) {
-      std::fprintf(stderr, "unknown arrival process \"%s\"; registered:",
-                   arrival.c_str());
-      for (const std::string& n : svc::ArrivalRegistry::Global().Names()) {
-        std::fprintf(stderr, " %s", n.c_str());
-      }
-      std::fprintf(stderr, "\n");
-      std::exit(2);
-    }
-    selection.config.arrival = arrival;
-  }
-  selection.config.arrival_params = FlagValue(argc, argv, "arrival-params");
-  if (!rate.empty()) {
-    selection.config.rate_tps = std::strtod(rate.c_str(), nullptr);
-    if (!(selection.config.rate_tps > 0)) {
-      std::fprintf(stderr, "invalid --rate \"%s\"\n", rate.c_str());
-      std::exit(2);
-    }
-  }
-  const std::string admission = FlagValue(argc, argv, "admission");
-  if (!admission.empty()) {
-    svc::AdmissionPolicy policy;
-    if (!svc::ParseAdmissionPolicy(admission, &policy)) {
-      std::fprintf(stderr, "unknown admission policy \"%s\"; registered:",
-                   admission.c_str());
-      for (const std::string& n : svc::AdmissionPolicyNames()) {
-        std::fprintf(stderr, " %s", n.c_str());
-      }
-      std::fprintf(stderr, "\n");
-      std::exit(2);
-    }
-    selection.config.admission = admission;
-  }
-  const std::string depth = FlagValue(argc, argv, "queue-depth");
-  if (!depth.empty()) {
-    selection.config.queue_depth =
-        static_cast<uint32_t>(std::strtoul(depth.c_str(), nullptr, 10));
-    if (selection.config.queue_depth == 0) {
-      std::fprintf(stderr, "invalid --queue-depth \"%s\"\n", depth.c_str());
-      std::exit(2);
-    }
-  }
-  const std::string limiter_rate = FlagValue(argc, argv, "limiter-rate");
-  if (!limiter_rate.empty()) {
-    selection.config.limiter_rate_tps =
-        std::strtod(limiter_rate.c_str(), nullptr);
-  }
-  const std::string limiter_burst = FlagValue(argc, argv, "limiter-burst");
-  if (!limiter_burst.empty()) {
-    selection.config.limiter_burst =
-        std::strtod(limiter_burst.c_str(), nullptr);
-  }
-  const std::string codel = FlagValue(argc, argv, "codel-target-us");
-  if (!codel.empty()) {
-    selection.config.codel_target = std::strtoull(codel.c_str(), nullptr, 10);
-    if (selection.config.codel_target == 0) {
-      std::fprintf(stderr, "invalid --codel-target-us \"%s\"\n",
-                   codel.c_str());
-      std::exit(2);
-    }
-  }
-  return selection;
-}
-
-/// The observability artifacts a bench binary was asked to produce.
-/// `--trace-out <path>` enables lifecycle tracing (Chrome trace-event JSON,
-/// loadable at ui.perfetto.dev); `--metrics-out <path>` snapshots the
-/// metrics registry as JSON; `--timeseries-out <path>` records windowed
-/// counter deltas (`--timeseries-window <us>` sets the window width).
-/// `--trace-capacity <n>` bounds the ring.
+/// The observability artifacts a bench binary was asked to write:
+/// `--trace-out` (Chrome trace-event JSON, loadable at ui.perfetto.dev),
+/// `--metrics-out` (metrics-registry snapshot) and `--timeseries-out`
+/// (windowed counter deltas).
 ///
 /// Sweeping drivers call Capture() once per cluster/bundle; the artifacts
 /// describe the LAST captured run (each capture replaces the previous one
 /// — a sweep produces one representative trace, not a concatenation).
-struct ObsSelection {
+class ObsArtifacts {
+ public:
   std::string trace_path;
   std::string metrics_path;
   std::string timeseries_path;
-  uint32_t trace_capacity = 1u << 16;
-  uint64_t timeseries_window_us = 100000;
-
-  bool requested() const {
-    return !trace_path.empty() || !metrics_path.empty() ||
-           !timeseries_path.empty();
-  }
-  bool trace() const { return !trace_path.empty(); }
-  bool timeseries() const { return !timeseries_path.empty(); }
-
-  void ApplyTo(core::ThunderboltConfig* config) const {
-    config->obs.trace = trace();
-    config->obs.trace_capacity = trace_capacity;
-    config->obs.timeseries = timeseries();
-    config->obs.timeseries_window_us = timeseries_window_us;
-  }
-
-  /// Builds a standalone bundle for non-cluster drivers (batch benches
-  /// install it on their pool via SetObs and drive SampleWindow between
-  /// cells themselves).
-  std::unique_ptr<obs::Observability> MakeBundle() const {
-    obs::ObsOptions options;
-    options.trace = trace();
-    options.trace_capacity = trace_capacity;
-    options.timeseries = timeseries();
-    options.timeseries_window_us = timeseries_window_us;
-    return std::make_unique<obs::Observability>(options);
-  }
 
   /// Snapshots `obs`'s sinks; safe to call after the owning cluster dies.
   /// Closes the trailing time-series window and syncs the ring's drop
@@ -586,41 +432,134 @@ struct ObsSelection {
   std::string timeseries_json_;
 };
 
-/// Shared `--trace-out` / `--metrics-out` / `--timeseries-out` /
-/// `--timeseries-window` / `--trace-capacity` handling.
-inline ObsSelection ObsFromFlags(int argc, char** argv) {
-  ObsSelection selection;
-  selection.trace_path = FlagValue(argc, argv, "trace-out");
-  selection.metrics_path = FlagValue(argc, argv, "metrics-out");
-  selection.timeseries_path = FlagValue(argc, argv, "timeseries-out");
-  const std::string cap = FlagValue(argc, argv, "trace-capacity");
-  if (!cap.empty()) {
-    selection.trace_capacity =
-        static_cast<uint32_t>(std::strtoul(cap.c_str(), nullptr, 10));
-    if (selection.trace_capacity == 0) {
-      std::fprintf(stderr, "invalid --trace-capacity \"%s\"\n", cap.c_str());
+/// The shared flag groups a driver may read on top of `--store` and the
+/// observability flags, which every driver reads.
+enum ClusterFlagGroup : unsigned {
+  /// `--workload <name>`, `--params <k=v,...>`.
+  kWorkloadFlags = 1u << 0,
+  /// `--placement <name>`, `--placement-params <k=v,...>`.
+  kPlacementFlags = 1u << 1,
+  /// `--pool <name>`.
+  kPoolFlags = 1u << 2,
+  /// The open-loop front end's shape: `--arrival <name>` (enables it),
+  /// `--arrival-params <k=v,...>`, `--queue-depth <n>`,
+  /// `--limiter-rate <tps>`, `--limiter-burst <tokens>`,
+  /// `--codel-target-us <us>`.
+  kServiceFlags = 1u << 3,
+  /// `--rate <tps>` (enables the front end) and `--admission <policy>`:
+  /// the axes bench_overload sweeps itself.
+  kOfferedLoadFlags = 1u << 4,
+};
+
+/// What the shared flags select. `config` is the base every cluster or
+/// pool of the run copies before setting the axes its driver sweeps.
+struct ClusterFlags {
+  /// placement, store, pool, service and obs as the flags set them.
+  core::ThunderboltConfig config;
+  /// With kWorkloadFlags: the registry workload name and its options.
+  std::string workload;
+  workload::WorkloadOptions options;
+  ObsArtifacts artifacts;
+};
+
+/// Reads `--store`, `--trace-out`, `--metrics-out`, `--timeseries-out`,
+/// `--trace-capacity <n>`, `--timeseries-window <us>` and the flags of
+/// `groups` into a ClusterFlags, exiting with code 2 on an unknown name or
+/// a malformed value. With kWorkloadFlags the workload options start from
+/// the paper's shared defaults (1000 records, theta 0.85, Pr 0.5, the
+/// figure's `workload_seed`) before `--params` applies; keys listed in
+/// `reserved_params` (axes the figure itself sweeps) are rejected. Store
+/// params are checked when the store is built (CreateStore, or
+/// core::Cluster for cluster benches).
+inline ClusterFlags ParseClusterFlags(
+    Flags& flags, unsigned groups, uint64_t workload_seed = 0,
+    std::initializer_list<const char*> reserved_params = {}) {
+  ClusterFlags out;
+  core::ThunderboltConfig& cfg = out.config;
+  if (groups & kWorkloadFlags) {
+    workload::WorkloadRegistry& registry = workload::WorkloadRegistry::Global();
+    out.options.num_records = 1000;
+    out.options.theta = 0.85;
+    out.options.read_ratio = 0.5;
+    out.options.seed = workload_seed;
+    out.workload = flags.Value("workload", "smallbank");
+    RequireKnown(registry.Contains(out.workload), "workload", out.workload,
+                 registry.Names());
+    const std::string spec = flags.Value("params");
+    RejectReservedParams(spec, reserved_params);
+    Status s = workload::ApplyWorkloadParams(spec, &out.options);
+    if (!s.ok()) {
+      std::fprintf(stderr, "bad --params: %s\n", s.ToString().c_str());
       std::exit(2);
     }
   }
-  const std::string window = FlagValue(argc, argv, "timeseries-window");
-  if (!window.empty()) {
-    selection.timeseries_window_us =
-        std::strtoull(window.c_str(), nullptr, 10);
-    if (selection.timeseries_window_us == 0) {
-      std::fprintf(stderr, "invalid --timeseries-window \"%s\"\n",
-                   window.c_str());
-      std::exit(2);
-    }
+  if (groups & kPlacementFlags) {
+    placement::PlacementRegistry& registry =
+        placement::PlacementRegistry::Global();
+    cfg.placement = flags.Value("placement", cfg.placement);
+    RequireKnown(registry.Contains(cfg.placement), "placement policy",
+                 cfg.placement, registry.Names());
+    cfg.placement_params = flags.Value("placement-params");
   }
-  return selection;
+  cfg.store = flags.Value("store", cfg.store);
+  RequireKnown(storage::StoreRegistry::Global().Contains(cfg.store),
+               "store backend", cfg.store,
+               storage::StoreRegistry::Global().Names());
+  if (groups & kPoolFlags) {
+    const std::vector<std::string> names = ce::ExecutorPoolNames();
+    cfg.pool = flags.Value("pool", cfg.pool);
+    RequireKnown(std::find(names.begin(), names.end(), cfg.pool) != names.end(),
+                 "executor pool", cfg.pool, names);
+  }
+  svc::ServiceConfig& service = cfg.service;
+  if (groups & kServiceFlags) {
+    const std::string arrival = flags.Value("arrival");
+    if (!arrival.empty()) {
+      RequireKnown(svc::ArrivalRegistry::Global().Contains(arrival),
+                   "arrival process", arrival,
+                   svc::ArrivalRegistry::Global().Names());
+      service.arrival = arrival;
+      service.enabled = true;
+    }
+    service.arrival_params = flags.Value("arrival-params");
+    service.queue_depth = flags.Number("queue-depth", service.queue_depth);
+    // A limiter rate or burst <= 0 switches the limiter off or derives
+    // the burst, so zero and negative values stay valid.
+    service.limiter_rate_tps =
+        flags.Number("limiter-rate", service.limiter_rate_tps, false);
+    service.limiter_burst =
+        flags.Number("limiter-burst", service.limiter_burst, false);
+    service.codel_target =
+        flags.Number("codel-target-us", service.codel_target);
+  }
+  if (groups & kOfferedLoadFlags) {
+    const std::string rate = flags.Value("rate");
+    if (!rate.empty()) {
+      service.rate_tps = ParseNumber<double>("rate", rate);
+      service.enabled = true;
+    }
+    svc::AdmissionPolicy policy;
+    service.admission = flags.Value("admission", service.admission);
+    RequireKnown(svc::ParseAdmissionPolicy(service.admission, &policy),
+                 "admission policy", service.admission,
+                 svc::AdmissionPolicyNames());
+  }
+  out.artifacts.trace_path = flags.Value("trace-out");
+  out.artifacts.metrics_path = flags.Value("metrics-out");
+  out.artifacts.timeseries_path = flags.Value("timeseries-out");
+  cfg.obs.trace = !out.artifacts.trace_path.empty();
+  cfg.obs.trace_capacity =
+      flags.Number("trace-capacity", cfg.obs.trace_capacity);
+  cfg.obs.timeseries = !out.artifacts.timeseries_path.empty();
+  cfg.obs.timeseries_window_us =
+      flags.Number("timeseries-window", cfg.obs.timeseries_window_us);
+  return out;
 }
 
-/// Shared `--json <path>` handling for the figure binaries: when the flag
-/// is present, dumps every table printed so far to that path. Call as the
-/// last statement of main.
-inline int WriteTablesJsonIfRequested(int argc, char** argv,
+/// Dumps every table printed so far to `path` (the driver's `--json`
+/// value) when it is non-empty. Call as the last statement of main.
+inline int WriteTablesJsonIfRequested(const std::string& path,
                                       const char* figure) {
-  std::string path = FlagValue(argc, argv, "json");
   if (path.empty()) return 0;
   if (!TableLog::Instance().WriteJson(path, figure)) {
     std::fprintf(stderr, "failed to write JSON to %s\n", path.c_str());

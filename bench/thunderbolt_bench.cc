@@ -12,23 +12,28 @@
 // Flags:
 //   --workload <names|all>   comma list of registry names    [all]
 //   --engine <names|all>     serial,occ,2pl,ce               [all]
-//   --batch <sizes>          comma list of batch sizes       [100,300]
+//   --batch <sizes>          comma list of batch sizes  [100,300; smoke 64]
 //   --theta <values>         comma list of Zipfian skews     [0.85]
 //   --executors <n>          simulated executors             [8]
 //   --pool <names>           executor pools: sim,thread      [sim]
 //   --threads <counts>       comma list of pool widths; overrides
 //                            --executors as a sweep axis     [--executors]
-//   --runs <n>               batches per configuration       [5]
-//   --records <n>            population scale                [10000]
+//   --runs <n>               batches per configuration  [5; smoke 2]
+//   --records <n>            population scale           [10000; smoke 200]
 //   --shards <n>             shard-homed generation over n shards  [1]
 //   --store <name>           storage backend (see --store-list)    [mem]
 //   --placement <name>       placement policy (see --placement-list) [hash]
 //   --placement-params <k=v,...>  policy parameters          []
 //   --arrival <name>         open-loop arrival process (poisson,burst,
 //                            trace); enables the service front end
-//   --rate <tps>             open-loop offered load          [20000]
+//   --arrival-params <k=v,...>  arrival process params       []
+//   --rate <tps>             open-loop offered load; enables the
+//                            service front end               [20000]
 //   --admission <policy>     drop-tail, shed-oldest, codel   [drop-tail]
 //   --queue-depth <n>        per-shard admission queue bound [1024]
+//   --limiter-rate <tps>     token-bucket rate; <= 0 is off  [0]
+//   --limiter-burst <tokens> token-bucket size; <= 0 derives one  [0]
+//   --codel-target-us <us>   codel sojourn target            [50000]
 //   --params <k=v,...>       extra WorkloadOptions overrides []
 //   --json <path>            output path          [thunderbolt_bench.json]
 //   --trace-out <path>       write a Chrome trace of the sweep's last cell
@@ -94,10 +99,9 @@ struct DriverConfig {
   uint64_t records = 10000;
   /// Shard count for shard-homed generation (1 = the global mix).
   uint32_t shards = 1;
-  bench::PlacementSelection placement;
-  bench::StoreSelection store;
-  bench::ObsSelection obs;
-  bench::ServiceSelection service;
+  /// placement, store, service and obs from the shared flags.
+  core::ThunderboltConfig base;
+  bench::ObsArtifacts artifacts;
   /// Raw `--params` overrides, applied after the flag-derived fields.
   std::string params;
   std::string json_path = "thunderbolt_bench.json";
@@ -141,18 +145,6 @@ struct SweepResult {
   uint64_t rejected = 0;
 };
 
-std::vector<std::string> SplitList(const std::string& csv) {
-  std::vector<std::string> items;
-  size_t start = 0;
-  while (start <= csv.size()) {
-    size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    if (comma > start) items.push_back(csv.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return items;
-}
-
 /// One workload x engine x batch x theta cell: `runs` batches executed
 /// back-to-back against one store, then the workload invariant check.
 Result<SweepResult> RunCell(const DriverConfig& config,
@@ -179,12 +171,13 @@ Result<SweepResult> RunCell(const DriverConfig& config,
     return Status::NotFound("unknown workload: " + workload_name);
   }
   std::shared_ptr<placement::PlacementPolicy> policy =
-      workload::InstallPlacement(w.get(), config.placement.policy,
-                                 config.placement.params, config.shards);
+      workload::InstallPlacement(w.get(), config.base.placement,
+                                 config.base.placement_params, config.shards);
   if (policy == nullptr) {
-    return Status::NotFound("unknown placement: " + config.placement.policy);
+    return Status::NotFound("unknown placement: " + config.base.placement);
   }
-  std::unique_ptr<storage::KVStore> store = config.store.Create();
+  std::unique_ptr<storage::KVStore> store =
+      bench::CreateStore(config.base.store);
   w->InitStore(store.get());
   auto registry = contract::Registry::CreateDefault();
   std::unique_ptr<ce::ExecutorPool> pool =
@@ -205,14 +198,24 @@ Result<SweepResult> RunCell(const DriverConfig& config,
   SimTime total_time = 0;
   Histogram latency_us;
   uint64_t cross_generated = 0;
+  auto add_batch = [&](const ce::BatchExecutionResult& r) {
+    out.phases.Merge(r.phases);
+    out.aborts += r.total_aborts;
+    for (size_t reason = 0; reason < obs::kNumAbortReasons; ++reason) {
+      out.abort_reasons[reason] += r.abort_reasons[reason];
+    }
+    for (double sample : r.commit_latency_us.samples()) {
+      latency_us.Add(sample);
+    }
+  };
 
-  if (config.service.config.enabled) {
+  if (config.base.service.enabled) {
     // Open loop: the front end generates arrivals on the cell's virtual
     // clock; the pool executes dequeued batches with arrival-stamped
     // submit times (pool latency = committed - submit_time, i.e. end to
     // end). ParseFlags already rejected "serial" and the thread pool.
     svc::ServiceFrontEnd front_end(
-        config.service.config, config.shards, options.seed,
+        config.base.service, config.shards, options.seed,
         [&w](ShardId shard) { return w->NextForShard(shard); },
         &obs->metrics());
     const uint64_t target =
@@ -257,14 +260,7 @@ Result<SweepResult> RunCell(const DriverConfig& config,
           pool->Run(*engine, *registry, batch, clock));
       THUNDERBOLT_RETURN_NOT_OK(store->Write(r.final_writes));
       clock += r.duration;
-      out.phases.Merge(r.phases);
-      out.aborts += r.total_aborts;
-      for (size_t reason = 0; reason < obs::kNumAbortReasons; ++reason) {
-        out.abort_reasons[reason] += r.abort_reasons[reason];
-      }
-      for (double sample : r.commit_latency_us.samples()) {
-        latency_us.Add(sample);
-      }
+      add_batch(r);
       out.txns += batch.size();
     }
     total_time = clock;
@@ -273,76 +269,51 @@ Result<SweepResult> RunCell(const DriverConfig& config,
     out.admitted = c.admitted;
     out.shed = c.shed;
     out.rejected = c.rejected;
-    out.tps = total_time == 0
-                  ? 0
-                  : static_cast<double>(out.txns) / ToSeconds(total_time);
-    out.p50_latency_us = latency_us.Percentile(50.0);
-    out.p99_latency_us = latency_us.Percentile(99.0);
-    out.p999_latency_us = latency_us.Percentile(99.9);
-    out.latency_samples = latency_us.Count();
-    out.re_execs_per_txn =
-        out.txns == 0 ? 0
-                      : static_cast<double>(out.aborts) /
-                            static_cast<double>(out.txns);
-    out.cross_frac = out.txns == 0
-                         ? 0
-                         : static_cast<double>(cross_generated) /
-                               static_cast<double>(out.txns);
-    out.invariant_ok = w->CheckInvariant(*store).ok();
-    out.total_time = total_time;
-    return out;
-  }
-
-  for (uint32_t run = 0; run < config.runs; ++run) {
-    std::vector<txn::Transaction> batch;
-    if (config.shards > 1) {
-      // Shard-homed generation, round-robin over the shards, so the
-      // placement policy's single- vs cross-shard split is measurable.
-      batch.reserve(batch_size);
-      for (uint32_t i = 0; i < batch_size; ++i) {
-        batch.push_back(
-            w->NextForShard(static_cast<ShardId>(i % config.shards)));
+  } else {
+    for (uint32_t run = 0; run < config.runs; ++run) {
+      std::vector<txn::Transaction> batch;
+      if (config.shards > 1) {
+        // Shard-homed generation, round-robin over the shards, so the
+        // placement policy's single- vs cross-shard split is measurable.
+        batch.reserve(batch_size);
+        for (uint32_t i = 0; i < batch_size; ++i) {
+          batch.push_back(
+              w->NextForShard(static_cast<ShardId>(i % config.shards)));
+        }
+        for (const txn::Transaction& tx : batch) {
+          if (!w->mapper().IsSingleShard(tx)) ++cross_generated;
+        }
+      } else {
+        batch = w->MakeBatch(batch_size);
       }
-      for (const txn::Transaction& tx : batch) {
-        if (!w->mapper().IsSingleShard(tx)) ++cross_generated;
+      if (engine_name == "serial") {
+        baselines::SerialExecutionResult r = baselines::ExecuteSerial(
+            *registry, batch, store.get(), serial_op_cost);
+        // Commit latency of txn i = virtual time until its sequential turn
+        // completes.
+        SimTime clock = 0;
+        for (const ce::TxnRecord& record : r.records) {
+          clock += serial_op_cost *
+                   (record.rw_set.reads.size() + record.rw_set.writes.size());
+          latency_us.Add(static_cast<double>(clock));
+        }
+        total_time += r.duration;
+      } else {
+        // "serial" above is not a BatchEngine; everything else resolves
+        // through the engine registry (baselines registered in main).
+        auto engine = ce::EngineRegistry::Global().Create(
+            engine_name, store.get(), batch_size);
+        if (engine == nullptr) {
+          return Status::NotFound("unknown engine: " + engine_name);
+        }
+        THUNDERBOLT_ASSIGN_OR_RETURN(ce::BatchExecutionResult r,
+                                     pool->Run(*engine, *registry, batch));
+        THUNDERBOLT_RETURN_NOT_OK(store->Write(r.final_writes));
+        total_time += r.duration;
+        add_batch(r);
       }
-    } else {
-      batch = w->MakeBatch(batch_size);
+      out.txns += batch_size;
     }
-    if (engine_name == "serial") {
-      baselines::SerialExecutionResult r = baselines::ExecuteSerial(
-          *registry, batch, store.get(), serial_op_cost);
-      // Commit latency of txn i = virtual time until its sequential turn
-      // completes.
-      SimTime clock = 0;
-      for (const ce::TxnRecord& record : r.records) {
-        clock += serial_op_cost *
-                 (record.rw_set.reads.size() + record.rw_set.writes.size());
-        latency_us.Add(static_cast<double>(clock));
-      }
-      total_time += r.duration;
-    } else {
-      // "serial" above is not a BatchEngine; everything else resolves
-      // through the engine registry (baselines registered in main).
-      auto engine = ce::EngineRegistry::Global().Create(
-          engine_name, store.get(), batch_size);
-      if (engine == nullptr) {
-        return Status::NotFound("unknown engine: " + engine_name);
-      }
-      THUNDERBOLT_ASSIGN_OR_RETURN(ce::BatchExecutionResult r,
-                                   pool->Run(*engine, *registry, batch));
-      THUNDERBOLT_RETURN_NOT_OK(store->Write(r.final_writes));
-      total_time += r.duration;
-      out.phases.Merge(r.phases);
-      out.aborts += r.total_aborts;
-      for (size_t reason = 0; reason < obs::kNumAbortReasons; ++reason) {
-        out.abort_reasons[reason] += r.abort_reasons[reason];
-      }
-      for (double sample : r.commit_latency_us.samples()) {
-        latency_us.Add(sample);
-      }
-    }
-    out.txns += batch_size;
   }
   out.tps = total_time == 0
                 ? 0
@@ -375,8 +346,8 @@ bool WriteResultsJson(const std::string& path,
                "%" PRIu64 ",\n  \"shards\": %u,\n  \"placement\": \"%s\",\n"
                "  \"store\": \"%s\",\n  \"results\": [",
                config.executors, config.runs, config.records, config.shards,
-               bench::JsonEscape(config.placement.policy).c_str(),
-               bench::JsonEscape(config.store.name).c_str());
+               bench::JsonEscape(config.base.placement).c_str(),
+               bench::JsonEscape(config.base.store).c_str());
   // Percentiles over zero samples are meaningless, not zero: an idle cell
   // emits null so downstream tooling cannot mistake it for a fast run.
   auto latency_or_null = [](const SweepResult& r, double value) {
@@ -415,7 +386,7 @@ bool WriteResultsJson(const std::string& path,
         "\"cross_frac\": %.4f, \"invariant_ok\": %s",
         r.phases.ToJson().c_str(), r.re_execs_per_txn, r.cross_frac,
         r.invariant_ok ? "true" : "false");
-    if (config.service.config.enabled) {
+    if (config.base.service.enabled) {
       // Open-loop cells carry the front end's accounting; closed-loop
       // JSON keeps its historical schema.
       std::fprintf(f,
@@ -430,39 +401,31 @@ bool WriteResultsJson(const std::string& path,
   return true;
 }
 
-DriverConfig ParseFlags(int argc, char** argv) {
+DriverConfig ParseFlags(bench::Flags& flags) {
   DriverConfig config;
-  const bool smoke = bench::HasFlag(argc, argv, "smoke");
-  std::string workloads = bench::FlagValue(argc, argv, "workload");
+  const bool smoke = flags.Has("smoke");
+  std::string workloads = flags.Value("workload");
   if (workloads.empty() || workloads == "all") {
     config.workloads = workload::WorkloadRegistry::Global().Names();
   } else {
-    config.workloads = SplitList(workloads);
+    config.workloads = bench::SplitList(workloads);
   }
-  std::string engines = bench::FlagValue(argc, argv, "engine");
+  std::string engines = flags.Value("engine");
   if (engines.empty() || engines == "all") {
     config.engines = {"serial", "occ", "2pl", "ce"};
   } else {
-    config.engines = SplitList(engines);
+    config.engines = bench::SplitList(engines);
   }
-  std::string batches = bench::FlagValue(argc, argv, "batch");
-  for (const std::string& b : SplitList(batches)) {
-    uint32_t size = static_cast<uint32_t>(std::strtoul(b.c_str(), nullptr, 10));
-    if (size == 0) {
-      std::fprintf(stderr, "invalid --batch entry \"%s\"\n", b.c_str());
-      std::exit(2);
-    }
-    config.batch_sizes.push_back(size);
+  for (const std::string& b : bench::SplitList(flags.Value("batch"))) {
+    config.batch_sizes.push_back(bench::ParseNumber<uint32_t>("batch", b));
   }
   if (config.batch_sizes.empty()) {
     config.batch_sizes = smoke ? std::vector<uint32_t>{64}
                                : std::vector<uint32_t>{100, 300};
   }
-  std::string thetas = bench::FlagValue(argc, argv, "theta");
-  for (const std::string& t : SplitList(thetas)) {
-    char* end = nullptr;
-    double theta = std::strtod(t.c_str(), &end);
-    if (end == t.c_str() || *end != '\0' || theta < 0 || theta >= 1) {
+  for (const std::string& t : bench::SplitList(flags.Value("theta"))) {
+    const double theta = bench::ParseNumber<double>("theta", t, false);
+    if (theta < 0 || theta >= 1) {
       std::fprintf(stderr, "invalid --theta entry \"%s\" (need [0, 1))\n",
                    t.c_str());
       std::exit(2);
@@ -470,62 +433,38 @@ DriverConfig ParseFlags(int argc, char** argv) {
     config.thetas.push_back(theta);
   }
   if (config.thetas.empty()) config.thetas = {0.85};
-  std::string executors = bench::FlagValue(argc, argv, "executors");
-  if (!executors.empty()) {
-    config.executors =
-        static_cast<uint32_t>(std::strtoul(executors.c_str(), nullptr, 10));
-    if (config.executors == 0) {
-      std::fprintf(stderr, "invalid --executors \"%s\"\n", executors.c_str());
-      std::exit(2);
+  config.executors = flags.Number("executors", config.executors);
+  config.pools = bench::SplitList(flags.Value("pool", "sim"));
+  // A typo in a list must not cost the rest of the sweep.
+  auto require_all = [](const std::vector<std::string>& names,
+                        const char* what,
+                        const std::vector<std::string>& registered) {
+    for (const std::string& name : names) {
+      bench::RequireKnown(std::find(registered.begin(), registered.end(),
+                                    name) != registered.end(),
+                          what, name, registered);
     }
+  };
+  std::vector<std::string> engine_names = ce::EngineRegistry::Global().Names();
+  engine_names.insert(engine_names.begin(), "serial");
+  require_all(config.workloads, "workload",
+              workload::WorkloadRegistry::Global().Names());
+  require_all(config.engines, "engine", engine_names);
+  require_all(config.pools, "executor pool", ce::ExecutorPoolNames());
+  for (const std::string& t : bench::SplitList(flags.Value("threads"))) {
+    config.threads.push_back(bench::ParseNumber<uint32_t>("threads", t));
   }
-  std::string pools = bench::FlagValue(argc, argv, "pool");
-  if (pools.empty()) {
-    config.pools = {"sim"};
-  } else {
-    config.pools = SplitList(pools);
-  }
-  std::string threads = bench::FlagValue(argc, argv, "threads");
-  for (const std::string& t : SplitList(threads)) {
-    uint32_t count =
-        static_cast<uint32_t>(std::strtoul(t.c_str(), nullptr, 10));
-    if (count == 0) {
-      std::fprintf(stderr, "invalid --threads entry \"%s\"\n", t.c_str());
-      std::exit(2);
-    }
-    config.threads.push_back(count);
-  }
-  std::string runs = bench::FlagValue(argc, argv, "runs");
-  if (!runs.empty()) {
-    config.runs =
-        static_cast<uint32_t>(std::strtoul(runs.c_str(), nullptr, 10));
-    if (config.runs == 0) {
-      std::fprintf(stderr, "invalid --runs \"%s\"\n", runs.c_str());
-      std::exit(2);
-    }
-  }
-  std::string records = bench::FlagValue(argc, argv, "records");
-  if (!records.empty()) {
-    config.records = std::strtoull(records.c_str(), nullptr, 10);
-    if (config.records == 0) {
-      std::fprintf(stderr, "invalid --records \"%s\"\n", records.c_str());
-      std::exit(2);
-    }
-  }
-  std::string shards = bench::FlagValue(argc, argv, "shards");
-  if (!shards.empty()) {
-    config.shards =
-        static_cast<uint32_t>(std::strtoul(shards.c_str(), nullptr, 10));
-    if (config.shards == 0) {
-      std::fprintf(stderr, "invalid --shards \"%s\"\n", shards.c_str());
-      std::exit(2);
-    }
-  }
-  config.placement = bench::PlacementFromFlags(argc, argv);
-  config.store = bench::StoreFromFlags(argc, argv);
-  config.obs = bench::ObsFromFlags(argc, argv);
-  config.service = bench::ServiceFromFlags(argc, argv);
-  if (config.service.config.enabled) {
+  // Smoke shrinks only what the user didn't set explicitly.
+  config.runs = flags.Number<uint32_t>("runs", smoke ? 2 : config.runs);
+  config.records =
+      flags.Number<uint64_t>("records", smoke ? 200 : config.records);
+  config.shards = flags.Number("shards", config.shards);
+  bench::ClusterFlags shared = bench::ParseClusterFlags(
+      flags, bench::kPlacementFlags | bench::kServiceFlags |
+                 bench::kOfferedLoadFlags);
+  config.base = shared.config;
+  config.artifacts = shared.artifacts;
+  if (config.base.service.enabled) {
     // Open loop needs the virtual clock (arrivals are sim events) and a
     // pipeline to backpressure: "serial" executes inline with no admission
     // point, and the thread pool runs on wall time. A defaulted "all"
@@ -555,18 +494,12 @@ DriverConfig ParseFlags(int argc, char** argv) {
     }
     config.engines = std::move(kept);
   }
-  config.params = bench::FlagValue(argc, argv, "params");
+  config.params = flags.Value("params");
   // The driver's own flags/sweep own these axes; a --params override would
   // be clobbered per cell and mislabel the JSON series.
   bench::RejectReservedParams(
       config.params, {"theta", "num_records", "num_accounts", "num_shards"});
-  std::string json = bench::FlagValue(argc, argv, "json");
-  if (!json.empty()) config.json_path = json;
-  // Smoke shrinks only what the user didn't set explicitly.
-  if (smoke) {
-    if (runs.empty()) config.runs = 2;
-    if (records.empty()) config.records = 200;
-  }
+  config.json_path = flags.Value("json", config.json_path);
   // --threads defaults to the single --executors width, keeping the
   // historical sweep shape when the axis isn't exercised.
   if (config.threads.empty()) config.threads = {config.executors};
@@ -579,51 +512,49 @@ DriverConfig ParseFlags(int argc, char** argv) {
 int main(int argc, char** argv) {
   using namespace thunderbolt;
   baselines::RegisterBaselineEngines();
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--list") {
-      for (const std::string& name :
-           workload::WorkloadRegistry::Global().Names()) {
-        std::printf("%s\n", name.c_str());
-      }
-      return 0;
+  bench::Flags flags(argc, argv);
+  if (flags.Has("list")) {
+    for (const std::string& name :
+         workload::WorkloadRegistry::Global().Names()) {
+      std::printf("%s\n", name.c_str());
     }
-    if (std::string(argv[i]) == "--engine-list") {
-      std::printf("serial\n");  // ExecuteSerial path, not a BatchEngine.
-      for (const std::string& name : ce::EngineRegistry::Global().Names()) {
-        std::printf("%s\n", name.c_str());
-      }
-      return 0;
-    }
-    if (std::string(argv[i]) == "--placement-list") {
-      for (const std::string& name :
-           placement::PlacementRegistry::Global().Names()) {
-        std::printf("%s\n", name.c_str());
-      }
-      return 0;
-    }
-    if (std::string(argv[i]) == "--store-list") {
-      for (const std::string& name :
-           storage::StoreRegistry::Global().Names()) {
-        std::printf("%s\n", name.c_str());
-      }
-      return 0;
-    }
+    return 0;
   }
-  DriverConfig config = ParseFlags(argc, argv);
+  if (flags.Has("engine-list")) {
+    std::printf("serial\n");  // ExecuteSerial path, not a BatchEngine.
+    for (const std::string& name : ce::EngineRegistry::Global().Names()) {
+      std::printf("%s\n", name.c_str());
+    }
+    return 0;
+  }
+  if (flags.Has("placement-list")) {
+    for (const std::string& name :
+         placement::PlacementRegistry::Global().Names()) {
+      std::printf("%s\n", name.c_str());
+    }
+    return 0;
+  }
+  if (flags.Has("store-list")) {
+    for (const std::string& name : storage::StoreRegistry::Global().Names()) {
+      std::printf("%s\n", name.c_str());
+    }
+    return 0;
+  }
+  DriverConfig config = ParseFlags(flags);
+  flags.RejectUnread();
   bench::Banner("thunderbolt_bench", "workload x engine x batch/skew sweep",
                 "CE sustains the highest throughput with the fewest "
                 "re-executions as batch size and skew grow");
-  if (config.shards > 1 || config.store.name != "mem") {
+  const svc::ServiceConfig& service = config.base.service;
+  if (config.shards > 1 || config.base.store != "mem") {
     std::printf("shards: %u  placement: %s  store: %s\n", config.shards,
-                config.placement.policy.c_str(), config.store.name.c_str());
+                config.base.placement.c_str(), config.base.store.c_str());
   }
-  if (config.service.config.enabled) {
+  if (service.enabled) {
     std::printf(
         "open loop: arrival=%s rate=%.0f tps admission=%s queue-depth=%u\n",
-        config.service.config.arrival.c_str(),
-        config.service.config.rate_tps,
-        config.service.config.admission.c_str(),
-        config.service.config.queue_depth);
+        service.arrival.c_str(), service.rate_tps, service.admission.c_str(),
+        service.queue_depth);
   }
   bench::Table table({"workload", "engine", "pool", "thr", "batch", "theta",
                       "tput(tps)", "p50(us)", "p99(us)", "p999(us)",
@@ -634,7 +565,7 @@ int main(int argc, char** argv) {
   // One bundle for the whole sweep; each cell's pool re-records into it,
   // so --trace-out captures the final cell (ring keeps the newest events)
   // and --metrics-out aggregates pool.* across the entire sweep.
-  std::unique_ptr<obs::Observability> obs = config.obs.MakeBundle();
+  obs::Observability obs(config.base.obs);
   // Sweep-level time-series clock: cells run back to back on one virtual
   // timeline, sampled at each cell boundary (Capture flushes the tail).
   uint64_t sweep_clock_us = 0;
@@ -646,7 +577,7 @@ int main(int argc, char** argv) {
             for (double theta : config.thetas) {
               auto cell =
                   RunCell(config, workload_name, engine_name, pool_name,
-                          threads, batch_size, theta, obs.get());
+                          threads, batch_size, theta, &obs);
               if (!cell.ok()) {
                 std::fprintf(stderr, "%s/%s/%s t%u b%u theta %.2f failed: %s\n",
                              workload_name.c_str(), engine_name.c_str(),
@@ -657,7 +588,7 @@ int main(int argc, char** argv) {
               }
               if (!cell->invariant_ok) all_ok = false;
               sweep_clock_us += cell->total_time;
-              obs->SampleWindow(sweep_clock_us);
+              obs.SampleWindow(sweep_clock_us);
               results.push_back(*cell);
               table.Row({cell->workload, cell->engine, cell->pool,
                          bench::FmtInt(cell->threads),
@@ -687,7 +618,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n%zu results written to %s\n", results.size(),
               config.json_path.c_str());
-  config.obs.Capture(*obs);
-  if (config.obs.WriteIfRequested() != 0) return 1;
+  config.artifacts.Capture(obs);
+  if (config.artifacts.WriteIfRequested() != 0) return 1;
   return all_ok ? 0 : 1;
 }

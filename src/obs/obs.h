@@ -1,16 +1,14 @@
 // Observability bundle: one MetricsRegistry plus the optional sinks —
-// RingTracer (lifecycle spans), TimeSeriesRecorder (windowed counter
-// deltas) and HealthMonitor (watermark checks riding the same windows) —
-// configured by ObsOptions (threaded through ThunderboltConfig::obs and
-// the benches' --trace-out/--metrics-out/--timeseries-out flags, see
-// bench/bench_util.h).
+// RingTracer (lifecycle spans) and TimeSeriesRecorder (windowed counter
+// deltas) — configured by ObsOptions (threaded through
+// ThunderboltConfig::obs and the benches' --trace-out/--metrics-out/
+// --timeseries-out flags, see bench/bench_util.h).
 #ifndef THUNDERBOLT_OBS_OBS_H_
 #define THUNDERBOLT_OBS_OBS_H_
 
 #include <cstdint>
 #include <memory>
 
-#include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -32,14 +30,10 @@ struct ObsOptions {
   bool timeseries = false;
   /// Sampling window width in (virtual or wall) microseconds.
   uint64_t timeseries_window_us = 100000;
-  /// Run HealthMonitor watermark checks at each closed window. Only
-  /// meaningful with `timeseries` (the monitor rides its windows).
-  bool health = true;
 };
 
-/// Owns the metrics registry and (when enabled) the trace ring, the
-/// time-series recorder and the health monitor. Cheap to construct when
-/// everything is off.
+/// Owns the metrics registry and (when enabled) the trace ring and the
+/// time-series recorder. Cheap to construct when everything is off.
 class Observability {
  public:
   explicit Observability(const ObsOptions& options = {}) : options_(options) {
@@ -49,9 +43,6 @@ class Observability {
     if (options_.timeseries) {
       timeseries_ = std::make_unique<TimeSeriesRecorder>(
           &metrics_, options_.timeseries_window_us);
-      if (options_.health) {
-        health_ = std::make_unique<HealthMonitor>(&metrics_, tracer());
-      }
     }
   }
 
@@ -70,28 +61,17 @@ class Observability {
   TimeSeriesRecorder* timeseries() { return timeseries_.get(); }
   const TimeSeriesRecorder* timeseries() const { return timeseries_.get(); }
 
-  /// The health monitor, or nullptr when disabled.
-  HealthMonitor* health() { return health_.get(); }
-  const HealthMonitor* health() const { return health_.get(); }
-
-  /// Advances the recorder to now_us and runs the health checks over each
-  /// window that closed. The cluster calls this from a sim-clock event at
-  /// every window boundary; bench drivers call it between cells. No-op
-  /// when time series are disabled.
+  /// Advances the recorder to now_us. The cluster calls this from a
+  /// sim-clock event at every window boundary; bench drivers call it
+  /// between cells. No-op when time series are disabled.
   void SampleWindow(uint64_t now_us) {
-    if (!timeseries_) return;
-    const size_t before = timeseries_->window_count();
-    timeseries_->Advance(now_us);
-    RunHealthFrom(before);
+    if (timeseries_) timeseries_->Advance(now_us);
   }
 
-  /// Closes the trailing partial window (end of run) and health-checks it.
-  /// No-op when time series are disabled.
+  /// Closes the trailing partial window (end of run). No-op when time
+  /// series are disabled.
   void FlushTimeSeries() {
-    if (!timeseries_) return;
-    const size_t before = timeseries_->window_count();
-    timeseries_->Flush();
-    RunHealthFrom(before);
+    if (timeseries_) timeseries_->Flush();
   }
 
   /// Mirrors the ring's drop accounting into the metrics registry
@@ -108,19 +88,10 @@ class Observability {
   }
 
  private:
-  void RunHealthFrom(size_t first_new_window) {
-    if (!health_) return;
-    const auto windows = timeseries_->Snapshot();
-    for (size_t i = first_new_window; i < windows.size(); ++i) {
-      health_->OnWindow(windows[i]);
-    }
-  }
-
   ObsOptions options_;
   MetricsRegistry metrics_;
   std::unique_ptr<RingTracer> ring_;
   std::unique_ptr<TimeSeriesRecorder> timeseries_;
-  std::unique_ptr<HealthMonitor> health_;
 };
 
 }  // namespace thunderbolt::obs

@@ -54,8 +54,6 @@ const char* EventKindName(EventKind kind) {
       return "wal_recover";
     case EventKind::kCrossHoldSpan:
       return "cross_hold";
-    case EventKind::kHealth:
-      return "health";
   }
   return "unknown";
 }

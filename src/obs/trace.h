@@ -68,7 +68,6 @@ enum class EventKind : uint8_t {
   kWalCheckpoint,   // Span: checkpoint written + log truncated.
   kWalRecover,      // Span: recovery replay (checkpoint load + log suffix).
   kCrossHoldSpan,   // Span: one cross-shard txn's hold on one participant shard.
-  kHealth,          // Instant: HealthMonitor watermark alert.
 };
 
 /// Trace-viewer name for the kind ("txn", "commit", "restart", ...).
@@ -100,7 +99,6 @@ enum class FlowPhase : uint8_t {
 ///   kWalCheckpoint: a = entries written, b = last sequence covered
 ///   kWalRecover:  a = checkpoint entries restored, b = log frames replayed
 ///   kCrossHoldSpan: a = participant index, b = participant count
-///   kHealth:      a = alert kind (HealthMonitor), b = window index
 ///
 /// `trace_id`/`span_id`/`parent_id` form the causal tree: all spans of one
 /// logical transaction share a trace_id (the txn id), each span gets a

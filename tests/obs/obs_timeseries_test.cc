@@ -1,6 +1,6 @@
 // TimeSeriesRecorder window semantics (the invariant the CI schema script
 // re-checks on every artifact: per-window counter deltas sum to the run
-// totals), HealthMonitor watermark checks riding those windows, and the
+// totals), the Observability bundle that drives them, and the
 // LatencyBreakdown / MergeIntoRegistry plumbing the per-phase latency
 // decomposition uses.
 #include <cstdint>
@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/health.h"
 #include "obs/latency.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -139,74 +138,6 @@ TEST(TimeSeriesRecorderTest, JsonIsDeterministicAndSchemaShaped) {
   EXPECT_NE(json.find("\"b.second\": 2"), std::string::npos);
 }
 
-// --- HealthMonitor ---------------------------------------------------------
-
-TimeSeriesWindow MakeWindow(uint64_t index, uint64_t commits, uint64_t aborts,
-                            double queue_depth) {
-  TimeSeriesWindow w;
-  w.start_us = index * 100;
-  w.end_us = (index + 1) * 100;
-  if (commits > 0) w.counter_deltas["cluster.commits_single"] = commits;
-  if (aborts > 0) w.counter_deltas["pool.sim.restarts"] = aborts;
-  w.gauges["pool.sim.queue_depth"] = queue_depth;
-  return w;
-}
-
-TEST(HealthMonitorTest, CommitStallFiresOncePerRun) {
-  MetricsRegistry metrics;
-  RingTracer tracer(16);
-  HealthMonitor monitor(&metrics, &tracer);
-
-  monitor.OnWindow(MakeWindow(0, /*commits=*/5, 0, 1.0));
-  EXPECT_EQ(monitor.alerts(), 0u);
-  // Two consecutive zero-commit windows trip the default watermark; a
-  // longer stall does not re-fire until progress resumes.
-  monitor.OnWindow(MakeWindow(1, 0, 0, 1.0));
-  monitor.OnWindow(MakeWindow(2, 0, 0, 1.0));
-  monitor.OnWindow(MakeWindow(3, 0, 0, 1.0));
-  EXPECT_EQ(monitor.alerts(), 1u);
-  EXPECT_EQ(metrics.GetCounter("health.alerts").value(), 1u);
-  EXPECT_DOUBLE_EQ(metrics.GetGauge("health.commit_stalled").value(), 1.0);
-
-  // Progress clears the stall gauge; a fresh stall fires a fresh alert.
-  monitor.OnWindow(MakeWindow(4, 5, 0, 1.0));
-  EXPECT_DOUBLE_EQ(metrics.GetGauge("health.commit_stalled").value(), 0.0);
-  monitor.OnWindow(MakeWindow(5, 0, 0, 1.0));
-  monitor.OnWindow(MakeWindow(6, 0, 0, 1.0));
-  EXPECT_EQ(monitor.alerts(), 2u);
-
-  // Every alert left a kHealth instant in the trace.
-  size_t health_events = 0;
-  for (const TraceEvent& e : tracer.Snapshot()) {
-    if (e.kind == EventKind::kHealth) ++health_events;
-  }
-  EXPECT_EQ(health_events, 2u);
-}
-
-TEST(HealthMonitorTest, AbortRateSpikeAndGauge) {
-  MetricsRegistry metrics;
-  HealthMonitor monitor(&metrics, nullptr);
-  monitor.OnWindow(MakeWindow(0, /*commits=*/9, /*aborts=*/1, 1.0));
-  EXPECT_EQ(monitor.alerts(), 0u);
-  EXPECT_DOUBLE_EQ(metrics.GetGauge("health.abort_rate").value(), 0.1);
-  monitor.OnWindow(MakeWindow(1, /*commits=*/2, /*aborts=*/8, 1.0));
-  EXPECT_EQ(monitor.alerts(), 1u);
-  EXPECT_DOUBLE_EQ(metrics.GetGauge("health.abort_rate").value(), 0.8);
-}
-
-TEST(HealthMonitorTest, QueueGrowthAgainstTrailingAverage) {
-  MetricsRegistry metrics;
-  HealthMonitor monitor(&metrics, nullptr);
-  // Build a trailing average of 2.0 over two windows, then jump past the
-  // 2x growth watermark.
-  monitor.OnWindow(MakeWindow(0, 5, 0, /*queue_depth=*/2.0));
-  monitor.OnWindow(MakeWindow(1, 5, 0, /*queue_depth=*/2.0));
-  EXPECT_EQ(monitor.alerts(), 0u);
-  monitor.OnWindow(MakeWindow(2, 5, 0, /*queue_depth=*/10.0));
-  EXPECT_EQ(monitor.alerts(), 1u);
-  EXPECT_GT(metrics.GetGauge("health.queue_depth_trend").value(), 2.0);
-}
-
 TEST(ObservabilityBundleTest, SampleWindowDrivesRecorderAndHealth) {
   ObsOptions options;
   options.trace = true;
@@ -214,22 +145,18 @@ TEST(ObservabilityBundleTest, SampleWindowDrivesRecorderAndHealth) {
   options.timeseries_window_us = 100;
   Observability obs(options);
   ASSERT_NE(obs.timeseries(), nullptr);
-  ASSERT_NE(obs.health(), nullptr);
 
-  // Three empty windows: the default stall watermark (2 windows) fires
-  // through the bundle's SampleWindow -> HealthMonitor plumbing.
   obs.SampleWindow(100);
   obs.SampleWindow(200);
   obs.SampleWindow(300);
   EXPECT_EQ(obs.timeseries()->window_count(), 3u);
-  EXPECT_EQ(obs.health()->alerts(), 1u);
 
   // SyncTraceStats mirrors the ring accounting into counters.
   TraceEvent e;
   e.kind = EventKind::kTxnCommit;
   obs.tracer()->Record(e);
   obs.SyncTraceStats();
-  EXPECT_EQ(obs.metrics().GetCounter("trace.recorded_events").value(), 2u);
+  EXPECT_EQ(obs.metrics().GetCounter("trace.recorded_events").value(), 1u);
   EXPECT_EQ(obs.metrics().GetCounter("trace.dropped_events").value(), 0u);
 }
 
