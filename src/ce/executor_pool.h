@@ -22,12 +22,14 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "ce/batch_engine.h"
 #include "common/histogram.h"
 #include "common/result.h"
+#include "common/status.h"
 #include "common/types.h"
 #include "contract/contract.h"
 #include "obs/latency.h"
@@ -105,19 +107,29 @@ struct PoolObsContext {
 /// A pool of E executors (virtual or physical) that drives one batch at a
 /// time through any BatchEngine. Run is not itself thread-safe: one batch
 /// per pool at a time, from one caller thread.
+///
+/// The batch contract lives here, once: input checks, the abort callback
+/// (restart counting, the livelock bounds, re-admission), result assembly
+/// and `pool.<name>.*` publication all work on one per-batch ledger. A
+/// subclass supplies only the scheduler that decides which executor runs
+/// which slot when (Schedule), where a re-admitted slot waits (OnRestart)
+/// and the clock its trace events carry.
 class ExecutorPool {
  public:
   virtual ~ExecutorPool() = default;
 
   /// Executes `batch` through `engine` using the contracts in `registry`.
   /// `start_time` seeds the clock (used when the pool runs inside the
-  /// cluster simulation). Returns Internal on livelock (see
-  /// kMaxRestartsPerTxn / kMaxRestartFactor above).
-  virtual Result<BatchExecutionResult> Run(
-      BatchEngine& engine, const contract::Registry& registry,
-      const std::vector<txn::Transaction>& batch, SimTime start_time = 0) = 0;
+  /// cluster simulation). Returns InvalidArgument for a pool with no
+  /// executors, Internal on livelock (see kMaxRestartsPerTxn /
+  /// kMaxRestartFactor above) or a stalled engine. The engine's abort
+  /// callback is detached again on every return.
+  Result<BatchExecutionResult> Run(BatchEngine& engine,
+                                   const contract::Registry& registry,
+                                   const std::vector<txn::Transaction>& batch,
+                                   SimTime start_time = 0);
 
-  virtual uint32_t num_executors() const = 0;
+  uint32_t num_executors() const { return num_executors_; }
 
   /// Selection name: "sim" or "thread".
   virtual std::string name() const = 0;
@@ -129,7 +141,130 @@ class ExecutorPool {
   const PoolObsContext& obs_context() const { return obs_; }
 
  protected:
+  /// `virtual_clock`: the scheduler's clock is the simulation's, so a
+  /// transaction's submit_time is the origin of its latency; otherwise
+  /// latency runs from the batch's begin_us.
+  ExecutorPool(uint32_t num_executors, ExecutionCostModel costs,
+               bool virtual_clock)
+      : num_executors_(num_executors),
+        costs_(costs),
+        virtual_clock_(virtual_clock) {}
+
+  /// How an attempt ended once its contract returned (FinishAttempt).
+  /// kFailed: the contract itself failed (bad arguments, declared failure)
+  /// and the engine still finalized the operations it performed.
+  enum class AttemptOutcome { kFinished, kFailed, kAborted };
+
+  /// The batch in flight and everything the pool learns about it. The
+  /// fields up to `start_time` are fixed for the batch. Under a
+  /// multi-threaded scheduler the rest are guarded by mu_ until Schedule
+  /// returns, except a pinned slot's per-slot accounting, which its
+  /// executor owns.
+  struct BatchLedger {
+    BatchEngine* engine = nullptr;
+    const contract::Registry* registry = nullptr;
+    const std::vector<txn::Transaction>* batch = nullptr;
+    uint32_t n = 0;
+    SimTime start_time = 0;
+    /// First error; a set error stops the scheduler.
+    Status error = Status::OK();
+
+    // Re-admission state. Every slot starts queued; a scheduler Claims a
+    // slot for an executor and Releases it after a completed attempt. An
+    // abort re-admits a slot that is neither queued nor pinned, and marks
+    // a pinned one restart_pending.
+    std::vector<uint8_t> queued;
+    std::vector<uint8_t> pinned;
+    std::vector<uint8_t> restart_pending;
+    std::vector<uint32_t> consecutive_restarts;
+    std::array<uint64_t, obs::kNumAbortReasons> reason_counts{};
+
+    // The batch's first and last event, then per-slot accounting, in the
+    // scheduler's clock (µs): first attempt start (0 = not yet started),
+    // summed attempt and backoff time, commit time, and the executor lane
+    // that ran the slot last.
+    uint64_t begin_us = 0;
+    uint64_t end_us = 0;
+    std::vector<uint64_t> first_start_us;
+    std::vector<uint64_t> exec_us;
+    std::vector<uint64_t> backoff_us;
+    std::vector<uint64_t> commit_us;
+    std::vector<uint32_t> lane;
+
+    // Admission pressure for the queue_depth / wave_occupancy gauges.
+    size_t max_queue_depth = 0;
+    uint64_t occupancy_sum = 0;  // Busy executors, summed per sample.
+    uint64_t occupancy_samples = 0;
+
+    void Claim(TxnSlot slot) {
+      queued[slot] = 0;
+      pinned[slot] = 1;
+    }
+    /// Unpins `slot` after an attempt. Returns true when it must go back
+    /// to the scheduler's queue (the attempt aborted, or the slot was
+    /// aborted while pinned). A contract that ran to completion ends the
+    /// slot's run of consecutive restarts.
+    bool Release(TxnSlot slot, AttemptOutcome outcome) {
+      pinned[slot] = 0;
+      const bool readmit =
+          restart_pending[slot] != 0 || outcome == AttemptOutcome::kAborted;
+      restart_pending[slot] = 0;
+      if (readmit) {
+        queued[slot] = 1;
+      } else if (outcome == AttemptOutcome::kFinished) {
+        consecutive_restarts[slot] = 0;
+      }
+      return readmit;
+    }
+  };
+
+  /// Lane and timestamp a restart trace event lands on.
+  struct TracePoint {
+    uint32_t tid = 0;
+    uint64_t ts_us = 0;
+  };
+
+  /// Drives ledger_'s batch until the engine reports AllCommitted (returns
+  /// OK) or the batch fails. Every slot starts queued. On OK, end_us must
+  /// be the batch's last event in the scheduler's clock.
+  virtual Status Schedule() = 0;
+  /// Called from the abort callback with mu_ held, after the ledger has
+  /// counted the restart. `readmit`: the slot was idle and is now queued;
+  /// the scheduler must put it on its ready queue.
+  virtual void OnRestart(TxnSlot slot, bool readmit) = 0;
+  virtual TracePoint RestartPoint() const = 0;
+
+  /// Completes an attempt whose contract returned `status`: forwards the
+  /// buffered emits and Finishes the slot. A failed contract is Finished
+  /// too, so the batch outcome stays well-defined on every replica.
+  static AttemptOutcome FinishAttempt(BatchEngine& engine, TxnSlot slot,
+                                      uint32_t incarnation,
+                                      const Status& status,
+                                      const std::vector<Value>& emits);
+
+  /// The global livelock backstop (lock-free engine counter).
+  bool OverGlobalCap() const;
+  Status GlobalCapError() const;
+  /// No runnable slot is left but the batch is not committed.
+  Status StallError() const;
+
+  const uint32_t num_executors_;
+  const ExecutionCostModel costs_;
   PoolObsContext obs_;
+  /// The pool lock, over the ledger and the scheduler's queues. The abort
+  /// callback takes it (lock order: engine lock, then pool lock). It has a
+  /// cache line to itself: threaded workers read the ledger's batch
+  /// pointers without it on every attempt.
+  alignas(64) std::mutex mu_;
+  alignas(64) BatchLedger ledger_;
+
+ private:
+  void OnAbort(TxnSlot slot, obs::AbortReason reason);
+  void RecordRestart(TxnSlot slot, obs::AbortReason reason) const;
+  BatchExecutionResult Assemble() const;
+  void Publish(const BatchExecutionResult& result) const;
+
+  const bool virtual_clock_;
 };
 
 /// Instantiates the named pool ("sim" or "thread") with `num_executors`

@@ -1,71 +1,81 @@
-// Simulated executor pool.
+// Simulated executor pool: E *virtual* executors on a virtual clock
+// (DESIGN.md section 2.1). The decisions — dependency edges, lock
+// conflicts, validation failures, aborts — are made by the real engine;
+// only the passage of time is simulated, so the paper's executor-count
+// sweeps (Figures 11/12) reproduce on one physical core, deterministically.
+// The batch contract (restart bounds, results, metrics) is ExecutorPool's;
+// this class is only the scheduler.
 //
-// Drives a batch of transactions through any BatchEngine with E virtual
-// executors on a virtual clock (DESIGN.md section 2.1): the *decisions* —
-// dependency edges, lock conflicts, validation failures, aborts — are made
-// by the real engine algorithms; only the passage of time is simulated.
-// This reproduces the paper's executor-count sweeps (Figures 11/12) on a
-// single physical core, fully deterministically. For real wall-clock
-// parallelism see ThreadExecutorPool (thread_executor_pool.h); both
-// implement the common ExecutorPool interface (executor_pool.h).
-//
-// Interleaving model. Contracts are ordinary C++ functions that call
-// ContractContext synchronously, so they cannot be suspended mid-body.
-// The pool instead advances a transaction one *operation* at a time by
-// deterministic re-execution: each step re-runs the contract from the top
-// with a context that replays the previously observed operation results
-// from a log and performs exactly one new engine operation before pausing.
-// Because contracts are deterministic given their read values, the replay
-// is exact; engine state is only touched by the single new operation, at
-// the correct virtual time. SmallBank transactions have ~4 operations, so
-// the quadratic replay cost is negligible.
+// Interleaving model. Contracts call ContractContext synchronously and
+// cannot be suspended mid-body, so the pool advances a transaction one
+// *operation* at a time by deterministic re-execution: each step re-runs
+// the contract from the top, replaying the previously observed operation
+// results from a log, and performs exactly one new engine operation before
+// pausing. Contracts are deterministic given their reads, so the replay is
+// exact and engine state is touched only by the new operation, at the
+// correct virtual time. SmallBank transactions have ~4 operations, so the
+// quadratic replay cost is negligible.
 //
 // Timing model per operation:
 //   start   = max(executor_free, engine_serial_free)
 //   engine_serial_free = start + costs.engine_serial_cost   (shared latch /
 //                        lock-manager / central-verifier critical section)
 //   executor_free      = start + costs.engine_serial_cost + costs.op_cost
-// Restarted transactions pay costs.restart_cost before re-running.
+// An aborted slot restarts in place on its executor after a jittered
+// exponential backoff (ExecutionCostModel::restart_cost).
 #ifndef THUNDERBOLT_CE_SIM_EXECUTOR_POOL_H_
 #define THUNDERBOLT_CE_SIM_EXECUTOR_POOL_H_
 
 #include <cstdint>
+#include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ce/batch_engine.h"
 #include "ce/executor_pool.h"
-#include "common/histogram.h"
-#include "common/result.h"
 #include "common/types.h"
-#include "contract/contract.h"
-#include "txn/transaction.h"
 
 namespace thunderbolt::ce {
 
 class SimExecutorPool final : public ExecutorPool {
  public:
   SimExecutorPool(uint32_t num_executors, ExecutionCostModel costs)
-      : num_executors_(num_executors), costs_(costs) {}
+      : ExecutorPool(num_executors, costs, /*virtual_clock=*/true) {}
 
-  /// Executes `batch` through `engine` using the contracts in `registry`.
-  /// `start_time` seeds the virtual clock (used when the pool runs inside
-  /// the cluster simulation). Returns Internal on livelock: a transaction
-  /// restarted more than kMaxRestartsPerTxn times the batch size (per-slot
-  /// bound over *consecutive* restarts), or total restarts above
-  /// kMaxRestartFactor times the batch size (global backstop).
-  Result<BatchExecutionResult> Run(BatchEngine& engine,
-                                   const contract::Registry& registry,
-                                   const std::vector<txn::Transaction>& batch,
-                                   SimTime start_time = 0) override;
-
-  uint32_t num_executors() const override { return num_executors_; }
   std::string name() const override { return "sim"; }
-  const ExecutionCostModel& costs() const { return costs_; }
 
  private:
-  uint32_t num_executors_;
-  ExecutionCostModel costs_;
+  class SteppingContext;
+
+  /// One logged operation result of a previous partial run.
+  struct LoggedOp {
+    bool is_read;
+    Key key;
+    Value value;  // Read result, or value written.
+  };
+
+  Status Schedule() override;
+  void OnRestart(TxnSlot slot, bool readmit) override;
+  TracePoint RestartPoint() const override {
+    return {acting_executor_, clock_};
+  }
+
+  /// Replay state of one slot's current incarnation.
+  struct SlotRun {
+    std::vector<LoggedOp> log;
+    uint32_t incarnation = 0;
+    bool started = false;
+  };
+
+  // Per-batch scheduler state, reset by Schedule.
+  std::vector<SlotRun> runs_;
+  std::vector<bool> needs_backoff_;
+  /// Slots waiting for an executor, with the virtual time they became
+  /// ready.
+  std::deque<std::pair<TxnSlot, SimTime>> ready_;
+  SimTime clock_ = 0;             // Start of the step being executed.
+  uint32_t acting_executor_ = 0;  // Executor running that step.
 };
 
 }  // namespace thunderbolt::ce

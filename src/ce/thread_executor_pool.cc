@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <string>
+#include <mutex>
 #include <utility>
 
 namespace thunderbolt::ce {
@@ -43,7 +43,7 @@ class DirectContext final : public contract::ContractContext {
 
 ThreadExecutorPool::ThreadExecutorPool(uint32_t num_executors,
                                        ExecutionCostModel costs)
-    : num_executors_(num_executors), costs_(costs) {
+    : ExecutorPool(num_executors, costs, /*virtual_clock=*/false) {
   workers_.reserve(num_executors_);
   for (uint32_t i = 0; i < num_executors_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -59,31 +59,26 @@ ThreadExecutorPool::~ThreadExecutorPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-ThreadExecutorPool::Outcome ThreadExecutorPool::Attempt(Job& job,
-                                                        TxnSlot slot) {
-  BatchEngine& engine = *job.engine;
+ExecutorPool::AttemptOutcome ThreadExecutorPool::Attempt(TxnSlot slot) {
+  BatchEngine& engine = *ledger_.engine;
   const uint32_t incarnation = engine.Begin(slot);
   DirectContext ctx(&engine, slot, incarnation);
-  Status s = job.registry->Execute((*job.batch)[slot], ctx);
-  if (s.ok()) {
-    for (Value v : ctx.emits()) engine.Emit(slot, incarnation, v);
-    Status fin = engine.Finish(slot, incarnation);
-    return fin.IsAborted() ? Outcome::kAborted : Outcome::kFinished;
-  }
-  if (s.IsAborted()) return Outcome::kAborted;
-  // Contract-level failure (bad arguments, unknown contract). The engine
-  // still finalizes the operations performed so far — same policy as the
-  // sim pool — so the batch outcome stays well-defined.
-  Status fin = engine.Finish(slot, incarnation);
-  return fin.IsAborted() ? Outcome::kAborted : Outcome::kFinished;
+  Status s = ledger_.registry->Execute((*ledger_.batch)[slot], ctx);
+  return FinishAttempt(engine, slot, incarnation, s, ctx.emits());
+}
+
+void ThreadExecutorPool::OnRestart(TxnSlot slot, bool readmit) {
+  if (!readmit) return;
+  job_.next.push_back(slot);
+  work_cv_.notify_one();
 }
 
 void ThreadExecutorPool::WorkerLoop() {
-  // Worker index = position of this thread's histogram; assigned on first
-  // job entry in arrival order.
+  // Worker index = this thread's trace lane; assigned in start order.
   std::unique_lock<std::mutex> lk(mu_);
   const uint32_t id = next_worker_id_++;
   uint64_t served = 0;
+  BatchLedger& l = ledger_;
   for (;;) {
     work_cv_.wait(lk,
                   [&] { return shutdown_ || (active_ && job_gen_ != served); });
@@ -92,7 +87,7 @@ void ThreadExecutorPool::WorkerLoop() {
     Job& job = job_;
     ++job.workers_inside;
 
-    while (active_ && !job.done && job.error.ok()) {
+    while (active_ && !job.done && l.error.ok()) {
       if (job.current.empty() && !job.next.empty()) {
         // Double-buffer swap: the next wave (re-admitted aborted txns)
         // becomes the current batch.
@@ -113,14 +108,10 @@ void ThreadExecutorPool::WorkerLoop() {
           // frozen, so this is terminal. Calling into the engine while
           // holding the pool mutex is safe here — no worker holds an
           // engine lock (executing == 0).
-          if (job.engine->AllCommitted()) {
+          if (l.engine->AllCommitted()) {
             job.done = true;
           } else {
-            job.error = Status::Internal(
-                "thread pool stalled: no runnable transactions but batch "
-                "incomplete (" +
-                std::to_string(job.engine->committed_count()) + "/" +
-                std::to_string(job.n) + " committed)");
+            l.error = StallError();
           }
           work_cv_.notify_all();
           done_cv_.notify_all();
@@ -131,15 +122,14 @@ void ThreadExecutorPool::WorkerLoop() {
       }
 
       const size_t backlog = job.current.size() + job.next.size() + 1;
-      if (backlog > job.max_queue_depth) job.max_queue_depth = backlog;
+      if (backlog > l.max_queue_depth) l.max_queue_depth = backlog;
       const TxnSlot slot = job.current.front();
       job.current.pop_front();
-      job.queued[slot] = 0;
-      job.pinned[slot] = 1;
+      l.Claim(slot);
       ++job.executing;
-      job.occupancy_sum += job.executing;
-      ++job.occupancy_samples;
-      const uint32_t restarts = job.consecutive_restarts[slot];
+      l.occupancy_sum += job.executing;
+      ++l.occupancy_samples;
+      const uint32_t restarts = l.consecutive_restarts[slot];
 
       lk.unlock();
       uint64_t backoff_slept_us = 0;
@@ -152,241 +142,63 @@ void ThreadExecutorPool::WorkerLoop() {
             std::chrono::microseconds(backoff_slept_us));
       }
       const uint64_t attempt_start_us = TraceNowUs();
-      const Outcome outcome = Attempt(job, slot);
+      const AttemptOutcome outcome = Attempt(slot);
       const uint64_t attempt_end_us = TraceNowUs();
-      const double latency_us =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - job.wall_start)
-              .count();
       // Engine progress counters are lock-free by contract, so these are
       // safe without the pool mutex.
-      const bool all_committed = job.engine->AllCommitted();
-      const bool over_global_cap =
-          job.engine->total_aborts() > kMaxRestartFactor * job.n;
-      if (outcome == Outcome::kFinished && obs_.tracer->enabled()) {
-        // One span per completing attempt; for engines that commit at
-        // Finish this is the transaction's lifecycle span.
-        obs::TraceEvent ev;
-        ev.kind = obs::EventKind::kTxnSpan;
-        ev.pid = obs_.pid;
-        ev.tid = id;
-        ev.ts_us = attempt_start_us;
-        ev.dur_us = attempt_end_us - attempt_start_us;
-        ev.txn = (*job.batch)[slot].id;
-        ev.a = restarts;
-        ev.trace_id = (*job.batch)[slot].id;
-        ev.span_id = 1;
-        obs_.tracer->Record(ev);
+      const bool all_committed = l.engine->AllCommitted();
+      const bool over_global_cap = OverGlobalCap();
+      // The slot's accounting is this worker's while the slot is pinned,
+      // so it needs no lock: the next claim (under mu_) and the quiescent
+      // result assembly both order after it. A slot's last attempt is the
+      // one that completes it, so its end stands for the commit time.
+      if (l.first_start_us[slot] == 0) {
+        l.first_start_us[slot] = attempt_start_us;
       }
+      l.exec_us[slot] += attempt_end_us - attempt_start_us;
+      l.backoff_us[slot] += backoff_slept_us;
+      l.commit_us[slot] = attempt_end_us;
+      l.lane[slot] = id;
       lk.lock();
 
-      // Phase accounting under the pool mutex.
-      if (!job.started[slot]) {
-        job.started[slot] = 1;
-        job.queue_wait_us[slot] =
-            attempt_start_us > job.wall_start_trace_us
-                ? attempt_start_us - job.wall_start_trace_us
-                : 0;
-      }
-      job.exec_us[slot] += attempt_end_us - attempt_start_us;
-      job.backoff_us[slot] += backoff_slept_us;
-
       --job.executing;
-      job.pinned[slot] = 0;
-      const bool requeue =
-          job.restart_pending[slot] != 0 || outcome == Outcome::kAborted;
-      job.restart_pending[slot] = 0;
-      if (requeue) {
-        if (!job.queued[slot]) {
-          job.queued[slot] = 1;
-          job.next.push_back(slot);
-        }
+      if (l.Release(slot, outcome)) {
+        job.next.push_back(slot);
         work_cv_.notify_one();
-      } else {
-        job.consecutive_restarts[slot] = 0;
-        job.worker_latency_us[id].Add(latency_us);
       }
-      if (over_global_cap && job.error.ok()) {
-        job.error = Status::Internal(
-            "thread pool livelock: " +
-            std::to_string(job.engine->total_aborts()) +
-            " restarts for batch of " + std::to_string(job.n));
-      }
+      if (over_global_cap && l.error.ok()) l.error = GlobalCapError();
       if (all_committed) job.done = true;
-      if (job.done || !job.error.ok()) {
+      if (job.done || !l.error.ok()) {
         work_cv_.notify_all();
         done_cv_.notify_all();
       }
     }
 
-    --job_.workers_inside;
+    --job.workers_inside;
     done_cv_.notify_all();
   }
 }
 
-Result<BatchExecutionResult> ThreadExecutorPool::Run(
-    BatchEngine& engine, const contract::Registry& registry,
-    const std::vector<txn::Transaction>& batch, SimTime start_time) {
-  const uint32_t n = static_cast<uint32_t>(batch.size());
-  if (n == 0) {
-    BatchExecutionResult empty;
-    empty.start_time = start_time;
-    return empty;
-  }
-  if (num_executors_ == 0) {
-    return Status::InvalidArgument("executor pool needs >= 1 executor");
-  }
-  if (num_executors_ > 1 && !engine.SupportsConcurrentExecutors()) {
+Status ThreadExecutorPool::Schedule() {
+  if (num_executors_ > 1 && !ledger_.engine->SupportsConcurrentExecutors()) {
     return Status::InvalidArgument(
         "engine does not support concurrent executors (see the "
         "thread-safety contract in ce/batch_engine.h)");
   }
-
-  // The callback runs on worker threads with engine-internal locks held;
-  // it touches only pool queue state, under the pool mutex (lock order:
-  // engine, then pool).
-  engine.SetAbortCallback([this](TxnSlot slot, obs::AbortReason reason) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!active_) return;
-    Job& job = job_;
-    ++job.consecutive_restarts[slot];
-    ++job.reason_counts[static_cast<size_t>(reason)];
-    if (obs_.tracer->enabled()) {
-      // Engine locks + pool mutex are held; the ring's own mutex is a
-      // leaf, so recording here preserves the lock order.
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kTxnRestart;
-      ev.reason = reason;
-      ev.pid = obs_.pid;
-      ev.ts_us = TraceNowUs();
-      ev.txn = (*job.batch)[slot].id;
-      ev.a = job.consecutive_restarts[slot];
-      obs_.tracer->Record(ev);
-    }
-    if (job.consecutive_restarts[slot] > kMaxRestartsPerTxn * job.n &&
-        job.error.ok()) {
-      ++job.reason_counts[static_cast<size_t>(obs::AbortReason::kRestartBound)];
-      job.error = Status::Internal(
-          "thread pool livelock: txn slot " + std::to_string(slot) +
-          " restarted " + std::to_string(job.consecutive_restarts[slot]) +
-          " times consecutively (per-txn bound " +
-          std::to_string(kMaxRestartsPerTxn * job.n) + ")");
-      work_cv_.notify_all();
-      done_cv_.notify_all();
-    }
-    if (job.pinned[slot]) {
-      // The owning worker observes the abort (stale incarnation) or, if
-      // its attempt already completed, re-admits via this flag.
-      job.restart_pending[slot] = 1;
-      return;
-    }
-    if (!job.queued[slot]) {
-      job.queued[slot] = 1;
-      job.next.push_back(slot);
-      work_cv_.notify_one();
-    }
-  });
-
   std::unique_lock<std::mutex> lk(mu_);
   job_ = Job{};
-  job_.engine = &engine;
-  job_.registry = &registry;
-  job_.batch = &batch;
-  job_.n = n;
-  for (TxnSlot s = 0; s < n; ++s) job_.current.push_back(s);
-  job_.queued.assign(n, 1);
-  job_.pinned.assign(n, 0);
-  job_.restart_pending.assign(n, 0);
-  job_.consecutive_restarts.assign(n, 0);
-  job_.worker_latency_us.resize(num_executors_);
-  job_.queue_wait_us.assign(n, 0);
-  job_.exec_us.assign(n, 0);
-  job_.backoff_us.assign(n, 0);
-  job_.started.assign(n, 0);
-  job_.wall_start = std::chrono::steady_clock::now();
-  job_.wall_start_trace_us = TraceNowUs();
+  for (TxnSlot s = 0; s < ledger_.n; ++s) job_.current.push_back(s);
+  ledger_.begin_us = TraceNowUs();
   active_ = true;
   ++job_gen_;
   work_cv_.notify_all();
 
   done_cv_.wait(lk, [&] {
-    return (job_.done || !job_.error.ok()) && job_.workers_inside == 0;
+    return (job_.done || !ledger_.error.ok()) && job_.workers_inside == 0;
   });
   active_ = false;
-
-  const SimTime wall_us = static_cast<SimTime>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - job_.wall_start)
-          .count());
-  Status error = job_.error;
-  if (!error.ok()) {
-    engine.SetAbortCallback({});
-    return error;
-  }
-
-  // All workers have left and the batch is committed: the engine is
-  // quiescent, so result extraction needs no synchronization.
-  BatchExecutionResult result;
-  result.start_time = start_time;
-  result.duration = wall_us;
-  result.order = engine.SerializationOrder();
-  result.total_aborts = engine.total_aborts();
-  result.final_writes = engine.FinalWrites();
-  result.abort_reasons = job_.reason_counts;
-  result.records.reserve(n);
-  for (TxnSlot s = 0; s < n; ++s) {
-    result.records.push_back(engine.ExtractRecord(s));
-  }
-  // Merge the single-writer per-worker histograms (common/histogram.h).
-  for (const Histogram& h : job_.worker_latency_us) {
-    result.commit_latency_us.Merge(h);
-  }
-  // Per-phase decomposition: one sample per transaction in each
-  // pool-side phase (zeros included so counts line up).
-  for (TxnSlot s = 0; s < n; ++s) {
-    result.phases[obs::Phase::kQueueWait].Add(
-        static_cast<double>(job_.queue_wait_us[s]));
-    result.phases[obs::Phase::kExecute].Add(
-        static_cast<double>(job_.exec_us[s]));
-    result.phases[obs::Phase::kRestartBackoff].Add(
-        static_cast<double>(job_.backoff_us[s]));
-  }
-  if (obs_.tracer->enabled()) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kBatchSpan;
-    ev.pid = obs_.pid;
-    ev.tid = num_executors_;  // Dedicated lane above the worker lanes.
-    ev.ts_us = TraceNowUs() - wall_us;
-    ev.dur_us = wall_us;
-    ev.a = n;
-    ev.b = result.total_aborts;
-    obs_.tracer->Record(ev);
-  }
-  if (obs_.metrics != nullptr) {
-    obs::MetricsRegistry& m = *obs_.metrics;
-    m.GetCounter("pool.thread.batches").Inc();
-    m.GetCounter("pool.thread.txns").Inc(n);
-    m.GetCounter("pool.thread.restarts").Inc(result.total_aborts);
-    for (size_t r = 0; r < obs::kNumAbortReasons; ++r) {
-      if (result.abort_reasons[r] == 0) continue;
-      m.GetCounter(std::string("pool.thread.restart_reason.") +
-                   obs::AbortReasonName(static_cast<obs::AbortReason>(r)))
-          .Inc(result.abort_reasons[r]);
-    }
-    m.GetHistogram("pool.thread.commit_latency_us")
-        .Merge(result.commit_latency_us);
-    obs::MergeIntoRegistry(m, result.phases);
-    m.GetGauge("pool.thread.queue_depth")
-        .Set(static_cast<double>(job_.max_queue_depth));
-    m.GetGauge("pool.thread.wave_occupancy")
-        .Set(job_.occupancy_samples > 0
-                 ? static_cast<double>(job_.occupancy_sum) /
-                       (static_cast<double>(job_.occupancy_samples) *
-                        num_executors_)
-                 : 0.0);
-  }
-  engine.SetAbortCallback({});
-  return result;
+  ledger_.end_us = TraceNowUs();
+  return ledger_.error;
 }
 
 }  // namespace thunderbolt::ce

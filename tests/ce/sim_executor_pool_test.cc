@@ -4,7 +4,8 @@
 
 #include "ce/concurrency_controller.h"
 #include "contract/contract.h"
-#include "contract/kv.h"
+#include "obs/metrics.h"
+#include "testutil/stub_engine.h"
 #include "testutil/testutil.h"
 #include "workload/smallbank_workload.h"
 
@@ -110,72 +111,37 @@ TEST_F(PoolTest, DeterministicAcrossRuns) {
   EXPECT_EQ(aborts[0], aborts[1]);
 }
 
-// Engine stub whose slot 0 aborts at every Finish, forever. A real engine
-// never does this, but a buggy one (or a pathological contract) can; the
-// pool's per-transaction restart bound must fail the batch at
+// A stub whose slot 0 aborts at every Finish, forever. A real engine never
+// does this, but a buggy one (or a pathological contract) can; the pool's
+// per-transaction restart bound must fail the batch at
 // kMaxRestartsPerTxn * n consecutive restarts instead of spinning on
 // toward the much larger global kMaxRestartFactor * n backstop.
-class AlwaysAbortSlotZeroEngine final : public BatchEngine {
- public:
-  explicit AlwaysAbortSlotZeroEngine(uint32_t n)
-      : n_(n), committed_(n, false) {}
-
-  void SetAbortCallback(AbortCallback cb) override { cb_ = std::move(cb); }
-  uint32_t Begin(TxnSlot) override { return 0; }
-  Result<Value> Read(TxnSlot, uint32_t, const Key&) override {
-    return Value{0};
-  }
-  Status Write(TxnSlot, uint32_t, const Key&, Value) override {
-    return Status::OK();
-  }
-  void Emit(TxnSlot, uint32_t, Value) override {}
-  Status Finish(TxnSlot slot, uint32_t) override {
-    if (slot == 0) {
-      ++total_aborts_;
-      if (cb_) cb_(0, obs::AbortReason::kValidationFailure);
-      return Status::Aborted("stub: permanent abort");
-    }
-    if (!committed_[slot]) {
-      committed_[slot] = true;
-      ++committed_count_;
-      order_.push_back(slot);
-    }
-    return Status::OK();
-  }
-  bool AllCommitted() const override { return committed_count_ == n_; }
-  uint32_t committed_count() const override { return committed_count_; }
-  uint64_t total_aborts() const override { return total_aborts_; }
-  const std::vector<TxnSlot>& SerializationOrder() const override {
-    return order_;
-  }
-  TxnRecord ExtractRecord(TxnSlot) const override { return TxnRecord{}; }
-  storage::WriteBatch FinalWrites() const override { return {}; }
-
- private:
-  const uint32_t n_;
-  AbortCallback cb_;
-  std::vector<bool> committed_;
-  uint32_t committed_count_ = 0;
-  uint64_t total_aborts_ = 0;
-  std::vector<TxnSlot> order_;
-};
-
 TEST_F(PoolTest, PerSlotLivelockBoundTripsBeforeGlobalCap) {
   const uint32_t n = 4;
-  std::vector<txn::Transaction> batch(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    batch[i].id = i;
-    batch[i].contract = contract::kKvUpdate;
-    batch[i].accounts = {"r" + std::to_string(i)};
-    batch[i].params = {static_cast<Value>(i)};
-  }
-  AlwaysAbortSlotZeroEngine engine(n);
+  testutil::StubEngine engine(n, /*always_abort=*/{0});
   SimExecutorPool pool(2, ExecutionCostModel{});
-  auto r = pool.Run(engine, *registry_, batch);
+  obs::MetricsRegistry metrics;
+  pool.SetObs(PoolObsContext{obs::NullTracerInstance(), &metrics, 0});
+  auto r = pool.Run(engine, *registry_, testutil::MakeKvBatch(n));
   ASSERT_EQ(r.status().code(), StatusCode::kInternal)
       << r.status().ToString();
   EXPECT_GT(engine.total_aborts(), kMaxRestartsPerTxn * n);
   EXPECT_LT(engine.total_aborts(), kMaxRestartFactor * n / 2);
+  const obs::Counter* bound =
+      metrics.FindCounter("pool.sim.restart_reason.restart_bound");
+  ASSERT_NE(bound, nullptr);
+  EXPECT_EQ(bound->value(), 1u);
+}
+
+TEST_F(PoolTest, DetachesAbortCallback) {
+  SimExecutorPool pool(2, ExecutionCostModel{});
+  testutil::StubEngine ok(4);
+  ASSERT_TRUE(pool.Run(ok, *registry_, testutil::MakeKvBatch(4)).ok());
+  EXPECT_FALSE(ok.has_abort_callback());
+
+  testutil::StubEngine livelocked(4, /*always_abort=*/{0});
+  ASSERT_FALSE(pool.Run(livelocked, *registry_, testutil::MakeKvBatch(4)).ok());
+  EXPECT_FALSE(livelocked.has_abort_callback());
 }
 
 TEST_F(PoolTest, ReportsReExecutions) {

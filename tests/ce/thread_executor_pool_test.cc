@@ -16,77 +16,16 @@
 #include "ce/executor_pool.h"
 #include "ce/sim_executor_pool.h"
 #include "contract/contract.h"
-#include "contract/kv.h"
+#include "obs/metrics.h"
+#include "testutil/stub_engine.h"
 #include "testutil/testutil.h"
 #include "workload/workload.h"
 
 namespace thunderbolt::ce {
 namespace {
 
-/// Minimal engine stub keeping the default SupportsConcurrentExecutors()
-/// == false: used to pin the refusal path for multi-worker thread pools.
-/// Also usable single-threaded: commits every slot at Finish except the
-/// ones listed in `always_abort`, which re-queue forever (livelock probe).
-class StubEngine final : public BatchEngine {
- public:
-  StubEngine(uint32_t n, std::vector<TxnSlot> always_abort = {})
-      : n_(n), always_abort_(std::move(always_abort)), committed_(n, false) {}
-
-  void SetAbortCallback(AbortCallback cb) override { cb_ = std::move(cb); }
-  uint32_t Begin(TxnSlot) override { return 0; }
-  Result<Value> Read(TxnSlot, uint32_t, const Key&) override {
-    return Value{0};
-  }
-  Status Write(TxnSlot, uint32_t, const Key&, Value) override {
-    return Status::OK();
-  }
-  void Emit(TxnSlot, uint32_t, Value) override {}
-  Status Finish(TxnSlot slot, uint32_t) override {
-    for (TxnSlot bad : always_abort_) {
-      if (slot == bad) {
-        ++total_aborts_;
-        if (cb_) cb_(slot, obs::AbortReason::kValidationFailure);
-        return Status::Aborted("stub: permanent abort");
-      }
-    }
-    if (!committed_[slot]) {
-      committed_[slot] = true;
-      ++committed_count_;
-      order_.push_back(slot);
-    }
-    return Status::OK();
-  }
-  bool AllCommitted() const override { return committed_count_ == n_; }
-  uint32_t committed_count() const override { return committed_count_; }
-  uint64_t total_aborts() const override { return total_aborts_; }
-  const std::vector<TxnSlot>& SerializationOrder() const override {
-    return order_;
-  }
-  TxnRecord ExtractRecord(TxnSlot) const override { return TxnRecord{}; }
-  storage::WriteBatch FinalWrites() const override { return {}; }
-
- private:
-  const uint32_t n_;
-  const std::vector<TxnSlot> always_abort_;
-  AbortCallback cb_;
-  std::vector<bool> committed_;
-  uint32_t committed_count_ = 0;
-  uint64_t total_aborts_ = 0;
-  std::vector<TxnSlot> order_;
-};
-
-/// `count` kv.update transactions over a tiny record set — enough to drive
-/// the stub engine, which ignores the actual keys anyway.
-std::vector<txn::Transaction> MakeKvBatch(size_t count) {
-  std::vector<txn::Transaction> batch(count);
-  for (size_t i = 0; i < count; ++i) {
-    batch[i].id = i;
-    batch[i].contract = contract::kKvUpdate;
-    batch[i].accounts = {"r" + std::to_string(i % 3)};
-    batch[i].params = {static_cast<Value>(i)};
-  }
-  return batch;
-}
+using testutil::MakeKvBatch;
+using testutil::StubEngine;
 
 class ThreadPoolTest : public ::testing::Test {
  protected:
@@ -160,9 +99,8 @@ TEST_F(ThreadPoolTest, AllTransactionsCommit) {
     seen[s] = true;
   }
   EXPECT_GT(r->duration, 0u);
-  // Cascade re-finishes may record a latency sample more than once per
-  // slot, so the histogram holds at least one sample per transaction.
-  EXPECT_GE(r->commit_latency_us.Count(), 200u);
+  // One latency sample per transaction, as in the sim pool.
+  EXPECT_EQ(r->commit_latency_us.Count(), 200u);
 }
 
 TEST_F(ThreadPoolTest, PoolReusableAcrossBatches) {
@@ -199,6 +137,8 @@ TEST_F(ThreadPoolTest, PerSlotLivelockBoundTripsBeforeGlobalCap) {
   costs.restart_cost = Micros(1);
   costs.restart_backoff_cap = 0;
   ThreadExecutorPool pool(1, costs);
+  obs::MetricsRegistry metrics;
+  pool.SetObs(PoolObsContext{obs::NullTracerInstance(), &metrics, 0});
   auto r = pool.Run(stub, *registry_, batch);
   ASSERT_EQ(r.status().code(), StatusCode::kInternal)
       << r.status().ToString();
@@ -206,6 +146,25 @@ TEST_F(ThreadPoolTest, PerSlotLivelockBoundTripsBeforeGlobalCap) {
   // backstop (1000 * n) would.
   EXPECT_GT(stub.total_aborts(), kMaxRestartsPerTxn * n);
   EXPECT_LT(stub.total_aborts(), kMaxRestartFactor * n / 2);
+  // The failed batch still publishes why it failed.
+  const obs::Counter* bound =
+      metrics.FindCounter("pool.thread.restart_reason.restart_bound");
+  ASSERT_NE(bound, nullptr);
+  EXPECT_EQ(bound->value(), 1u);
+}
+
+TEST_F(ThreadPoolTest, DetachesAbortCallback) {
+  ExecutionCostModel costs;
+  costs.restart_cost = Micros(1);
+  costs.restart_backoff_cap = 0;
+  ThreadExecutorPool pool(1, costs);
+  StubEngine ok(4);
+  ASSERT_TRUE(pool.Run(ok, *registry_, MakeKvBatch(4)).ok());
+  EXPECT_FALSE(ok.has_abort_callback());
+
+  StubEngine livelocked(4, /*always_abort=*/{0});
+  ASSERT_FALSE(pool.Run(livelocked, *registry_, MakeKvBatch(4)).ok());
+  EXPECT_FALSE(livelocked.has_abort_callback());
 }
 
 // --- threaded-vs-sim agreement -------------------------------------------
